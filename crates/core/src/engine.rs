@@ -140,6 +140,10 @@ impl TrainingSim {
     /// re-stamps the jitter-seeded compute durations
     /// ([`zerosim_strategies::LoweredPlan::stamp`]) before execution.
     ///
+    /// Every token bucket is refilled first
+    /// ([`zerosim_simkit::FlowNet::refill_buckets`]), so a second run on the
+    /// same simulator reports what a fresh simulator would.
+    ///
     /// # Errors
     /// [`CoreError::InvalidConfig`] if the strategy rejects the
     /// configuration; [`CoreError::DoesNotFit`] if the memory plan
@@ -153,6 +157,9 @@ impl TrainingSim {
         opts: &TrainOptions,
         cfg: &RunConfig,
     ) -> Result<TrainingReport, CoreError> {
+        // Each run starts from idle devices: a reused simulator must not
+        // inherit the NVMe caches a previous run left drained.
+        self.cluster.net_mut().refill_buckets();
         let ctx = IterCtx {
             cluster: &self.cluster,
             model,
@@ -314,6 +321,8 @@ impl TrainingSim {
         cfg: &RunConfig,
         faults: &FaultConfig,
     ) -> Result<TrainingReport, CoreError> {
+        // Idle devices at the start, exactly as in `run`.
+        self.cluster.net_mut().refill_buckets();
         let ctx = IterCtx {
             cluster: &self.cluster,
             model,

@@ -150,17 +150,27 @@ impl SweepSpec {
         self
     }
 
-    /// Builds a fresh simulator and executes this spec to completion.
+    /// Builds this spec's fresh simulator: its cluster, calibration,
+    /// engine mode and NVMe volumes, before any run.
     ///
     /// # Errors
-    /// Whatever [`TrainingSim::new`], [`TrainingSim::run`], or
-    /// [`TrainingSim::run_resilient`] return for this configuration.
-    pub fn execute(&self) -> Result<SweepRun, CoreError> {
+    /// Whatever [`TrainingSim::with_calibration`] returns for the cluster.
+    pub fn simulator(&self) -> Result<TrainingSim, CoreError> {
         let mut sim = TrainingSim::with_calibration(self.cluster.clone(), self.calibration)?;
         sim.set_engine_mode(self.engine);
         for members in &self.volumes {
             sim.cluster_mut().create_volume(members.clone());
         }
+        Ok(sim)
+    }
+
+    /// Builds a fresh simulator and executes this spec to completion.
+    ///
+    /// # Errors
+    /// Whatever [`SweepSpec::simulator`], [`TrainingSim::run`], or
+    /// [`TrainingSim::run_resilient`] return for this configuration.
+    pub fn execute(&self) -> Result<SweepRun, CoreError> {
+        let mut sim = self.simulator()?;
         let report = match &self.faults {
             Some(faults) => {
                 sim.run_resilient(&self.strategy, &self.model, &self.opts, &self.run, faults)?

@@ -26,7 +26,7 @@
 //! log, same event sequence numbers, same fault-cursor position. In debug
 //! builds (or with `ZEROSIM_ENGINE_SHADOW=1`) every arena run re-executes
 //! on the reference engine against cloned network/cursor state and asserts
-//! exactly that, mirroring the max-min solver's `ZEROSIM_SHADOW` gate.
+//! exactly that, mirroring the max-min solver's shadow mode.
 //! Per-run work counters are reported via [`EngineStats`].
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -103,8 +103,8 @@ impl Default for EngineMode {
 }
 
 /// Shadow-verification default: `ZEROSIM_ENGINE_SHADOW` when set ("0" or
-/// empty disables), else on in debug builds — the same contract as the
-/// max-min solver's `ZEROSIM_SHADOW`.
+/// empty disables), else on in debug builds (the max-min solver's shadow
+/// mode has the same debug default).
 fn engine_shadow_default() -> bool {
     match std::env::var("ZEROSIM_ENGINE_SHADOW") {
         Ok(v) => v != "0" && !v.is_empty(),

@@ -12,26 +12,56 @@
 //! # Incremental solving
 //!
 //! The solver is *incremental*: every mutation (flow start/finish/cancel,
-//! link rescale, token-bucket drift) marks the links it touched **dirty**,
-//! and the next read re-converges only the *dirty component* — the links
-//! reachable from the dirty set through shared flows — leaving converged
-//! rates elsewhere untouched. Because max-min allocations of disjoint
-//! components are independent and the restricted solve performs the exact
-//! floating-point operation sequence the global solve would perform on that
-//! component, the result is **bit-identical** to a full recompute. A shadow
-//! verification mode (on by default in debug builds, or via
-//! `ZEROSIM_SHADOW=1`) runs the reference full solver next to the
-//! incremental one and asserts bitwise rate/demand equality after every
-//! solve. [`SolverStats`] counters expose how much work each event cost.
+//! link rescale, token-bucket rate change) marks the links it touched
+//! **dirty**, and the next read re-converges only the *dirty component* —
+//! the links reachable from the dirty set through shared flows — leaving
+//! converged rates elsewhere untouched. Because max-min allocations of
+//! disjoint components are independent and the restricted solve performs
+//! the exact floating-point operation sequence the global solve would
+//! perform on that component, the result is **bit-identical** to a full
+//! recompute. A shadow verification mode (on by default in debug builds,
+//! toggled with [`FlowNet::set_shadow_verify`]) runs the reference full
+//! solver next to the incremental one and asserts bitwise rate/demand
+//! equality after every solve. [`SolverStats`] counters expose how much
+//! work each event cost.
 //!
 //! Converged state is epoch-stamped ([`FlowNet::solver_epoch`]) and cached
 //! behind interior mutability, so the read paths ([`FlowNet::flow_rate`],
 //! [`FlowNet::link_demand`], [`FlowNet::next_event_in`]) take `&self`.
 //!
+//! # Dense layout
+//!
+//! Active flows sit in one vector ordered by [`FlowId`] (ids are issued in
+//! increasing order, so a new flow is pushed at the end), each holding its
+//! route, remaining bytes, rate cap and converged rate. Per-link membership
+//! is a `Vec<FlowId>` sorted by id. The solver's dirty set and component
+//! closure are vectors with epoch marks, and progressive filling fixes a
+//! bottleneck's flows by walking that link's member list. Token-bucketed
+//! links are listed once at creation, so the event scan and
+//! [`FlowNet::advance`] visit only them, not every link.
+//!
+//! Three ordering invariants fix the floating-point operation sequence, and
+//! with it every rate, recorder sample and report digest:
+//!
+//! 1. flows are visited in ascending id, and a flow's links in route order
+//!    (the order of [`FlowObserver::on_transfer`] callbacks and of residual
+//!    updates);
+//! 2. component links are visited in ascending index (bottleneck ties go to
+//!    the lowest index, as in the reference solver);
+//! 3. a bottleneck's flows are fixed in ascending id.
+//!
+//! # Quiet buckets
+//!
+//! A token bucket's fill moves with time, but max-min rates depend on a
+//! bucket only through [`TokenBucket::current_rate`]. [`FlowNet::advance`]
+//! and [`FlowNet::refill_buckets`] therefore dirty a bucketed link only when
+//! that rate changed (burst ↔ sustained). An idle, full bucket — or one
+//! draining at an unchanged rate — stays out of the next solve, which would
+//! have reproduced the same bits; only [`SolverStats`] sees the difference.
+//!
 //! Links are unidirectional; model a full-duplex interface as two links.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::{Cell, RefCell};
 
 use crate::bucket::TokenBucket;
 use crate::error::SimError;
@@ -98,18 +128,24 @@ struct LinkState {
 
 #[derive(Debug, Clone)]
 struct FlowState {
+    id: FlowId,
     route: Vec<LinkId>,
     remaining: f64,
     /// Per-flow rate ceiling (bytes/second), e.g. from the SerDes-pair
     /// degradation model; `f64::INFINITY` when uncapped.
     cap: f64,
+    /// Converged max-min rate, valid for the solver epoch. A `Cell` so the
+    /// `&self` read paths can re-converge it.
+    rate: Cell<f64>,
 }
 
 /// Receives per-link byte accounting as simulated time advances.
 ///
 /// Implementations aggregate the callbacks into whatever statistic they
 /// need (time-bucketed utilization, totals, ...). `start` is the simulated
-/// time at which the `dt_secs`-long interval began.
+/// time at which the `dt_secs`-long interval began. Within one
+/// [`FlowNet::advance`], callbacks arrive in ascending flow id, and for each
+/// flow in route order.
 pub trait FlowObserver {
     /// Called once per (link, interval) with the bytes moved on that link.
     fn on_transfer(&mut self, link: LinkId, start: SimTime, dt_secs: f64, bytes: f64);
@@ -132,33 +168,73 @@ const DRAIN_EVENT_BUDGET: u64 = 10_000_000;
 
 /// Converged solver state, cached behind interior mutability so reads can
 /// take `&self`. All fields are private to the flow module.
+///
+/// Marks are epoch tags: an entry equal to `epoch + 1` belongs to the set
+/// being built for the next solve, and bumping `epoch` clears every set at
+/// once.
 #[derive(Debug, Clone, Default)]
 struct Solver {
-    /// Links whose converged state is stale; emptied by each solve.
-    dirty: BTreeSet<usize>,
-    /// Converged per-flow rates, valid for `epoch`.
-    rates: BTreeMap<FlowId, f64>,
+    /// Links whose converged state is stale, in marking order; emptied by
+    /// each solve.
+    dirty: Vec<usize>,
+    /// Per link: tagged while the link is in `dirty`.
+    dirty_mark: Vec<u64>,
     /// Converged per-link aggregate demand (bytes/second), valid for
     /// `epoch`.
     demand: Vec<f64>,
-    /// Which flows cross each link. Connectivity only: a route that visits
-    /// a link twice appears once here; multiplicity is recounted from raw
-    /// routes during a solve (matching the reference solver's arithmetic).
-    on_link: Vec<BTreeSet<FlowId>>,
+    /// Which flows cross each link, ascending id. Connectivity only: a
+    /// route that visits a link twice appears once here; multiplicity is
+    /// recounted from raw routes during a solve (matching the reference
+    /// solver's arithmetic).
+    on_link: Vec<Vec<FlowId>>,
     /// Scratch: residual capacity per link. Only the entries belonging to
     /// the current dirty component are (re)initialized each solve.
     residual: Vec<f64>,
     /// Scratch: unfixed route-entry count per link (counts duplicates).
     unfixed_on_link: Vec<usize>,
+    /// Scratch, per link: tagged once the link joins the component.
+    link_mark: Vec<u64>,
+    /// Scratch, per flow position: tagged once the flow joins the
+    /// component.
+    flow_mark: Vec<u64>,
+    /// Scratch, per flow position: tagged once the flow's rate is fixed.
+    fixed_mark: Vec<u64>,
+    /// Scratch: the component's links, ascending index.
+    comp_links: Vec<usize>,
+    /// Scratch: the component's flow positions, ascending (= ascending id).
+    comp_flows: Vec<usize>,
+    /// Scratch: the component's flow positions with a finite cap, ascending.
+    capped: Vec<usize>,
     /// Monotonic solve counter stamping the converged state.
     epoch: u64,
     stats: SolverStats,
 }
 
-fn shadow_default() -> bool {
-    match std::env::var("ZEROSIM_SHADOW") {
-        Ok(v) => v != "0" && !v.is_empty(),
-        Err(_) => cfg!(debug_assertions),
+impl Solver {
+    /// Adds `link` to the dirty set (idempotent).
+    fn mark_dirty(&mut self, link: usize) {
+        let tag = self.epoch + 1;
+        if self.dirty_mark[link] != tag {
+            self.dirty_mark[link] = tag;
+            self.dirty.push(link);
+        }
+    }
+}
+
+/// Removes `id` from a sorted membership list, if present.
+fn unlink(members: &mut Vec<FlowId>, id: FlowId) {
+    if let Ok(i) = members.binary_search(&id) {
+        members.remove(i);
+    }
+}
+
+/// Fixes `flow` at `rate` and charges it to every route entry (a link the
+/// route visits twice is charged twice).
+fn fix_flow(residual: &mut [f64], unfixed_on_link: &mut [usize], flow: &FlowState, rate: f64) {
+    flow.rate.set(rate);
+    for l in &flow.route {
+        residual[l.0] = (residual[l.0] - rate).max(0.0);
+        unfixed_on_link[l.0] -= 1;
     }
 }
 
@@ -179,12 +255,14 @@ fn shadow_default() -> bool {
 #[derive(Debug, Clone)]
 pub struct FlowNet {
     links: Vec<LinkState>,
-    flows: BTreeMap<FlowId, FlowState>,
+    /// Indices of the token-bucketed links, ascending.
+    bucketed: Vec<usize>,
+    /// Active flows, ascending id.
+    flows: Vec<FlowState>,
     next_flow: u64,
     solver: RefCell<Solver>,
     /// Run the reference full solver next to the incremental one and assert
-    /// bitwise equality (defaults to on in debug builds; `ZEROSIM_SHADOW`
-    /// overrides).
+    /// bitwise equality (defaults to on in debug builds).
     shadow: bool,
     /// Treat every link as dirty on each solve (the pre-incremental
     /// behaviour); kept for benchmarking and differential testing.
@@ -195,10 +273,11 @@ impl Default for FlowNet {
     fn default() -> Self {
         FlowNet {
             links: Vec::new(),
-            flows: BTreeMap::new(),
+            bucketed: Vec::new(),
+            flows: Vec::new(),
             next_flow: 0,
             solver: RefCell::new(Solver::default()),
-            shadow: shadow_default(),
+            shadow: cfg!(debug_assertions),
             full: false,
         }
     }
@@ -229,6 +308,9 @@ impl FlowNet {
 
     fn push_link(&mut self, name: String, capacity: Capacity) -> LinkId {
         let id = LinkId(self.links.len());
+        if matches!(capacity, Capacity::Bucketed(_)) {
+            self.bucketed.push(id.0);
+        }
         self.links.push(LinkState {
             name,
             nominal: capacity.clone(),
@@ -236,10 +318,12 @@ impl FlowNet {
             scale: 1.0,
         });
         let s = self.solver.get_mut();
+        s.dirty_mark.push(0);
         s.demand.push(0.0);
-        s.on_link.push(BTreeSet::new());
+        s.on_link.push(Vec::new());
         s.residual.push(0.0);
         s.unfixed_on_link.push(0);
+        s.link_mark.push(0);
         id
     }
 
@@ -301,9 +385,8 @@ impl FlowNet {
 
     /// Enables or disables shadow verification: every incremental solve is
     /// followed by a reference full solve and a bitwise equality assert on
-    /// all rates and demands. Defaults to on in debug builds; the
-    /// `ZEROSIM_SHADOW` environment variable (`1`/`0`) overrides the
-    /// default at [`FlowNet::new`] time.
+    /// all rates and demands. Defaults to on in debug builds and off in
+    /// release builds.
     pub fn set_shadow_verify(&mut self, on: bool) {
         self.shadow = on;
     }
@@ -366,41 +449,46 @@ impl FlowNet {
         }
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
-        self.flows.insert(
-            id,
-            FlowState {
-                route: route.to_vec(),
-                remaining: bytes,
-                cap,
-            },
-        );
         let s = self.solver.get_mut();
-        s.rates.insert(id, 0.0);
         for l in route {
-            s.on_link[l.0].insert(id);
-            s.dirty.insert(l.0);
+            // `id` is the largest live id, so pushing keeps the list sorted
+            // and a repeated route entry finds itself at the end.
+            let members = &mut s.on_link[l.0];
+            if members.last() != Some(&id) {
+                members.push(id);
+            }
+            s.mark_dirty(l.0);
         }
+        self.flows.push(FlowState {
+            id,
+            route: route.to_vec(),
+            remaining: bytes,
+            cap,
+            rate: Cell::new(0.0),
+        });
         Ok(id)
+    }
+
+    /// Position of `flow` in the id-ordered flow vector.
+    fn position(&self, flow: FlowId) -> Option<usize> {
+        self.flows.binary_search_by_key(&flow, |f| f.id).ok()
     }
 
     /// Removes an active flow without completing it (the bytes already moved
     /// stay moved; the remainder is abandoned). Returns `true` if the flow
     /// was active. Used when a node loss aborts a run mid-flight.
     pub fn cancel_flow(&mut self, flow: FlowId) -> bool {
-        match self.flows.remove(&flow) {
-            Some(f) => {
-                let s = self.solver.get_mut();
-                s.rates.remove(&flow);
-                for l in &f.route {
-                    s.on_link[l.0].remove(&flow);
-                    s.dirty.insert(l.0);
-                }
-                true
-            }
-            None => false,
+        let Some(pos) = self.position(flow) else {
+            return false;
+        };
+        let f = self.flows.remove(pos);
+        let s = self.solver.get_mut();
+        for l in &f.route {
+            unlink(&mut s.on_link[l.0], flow);
+            s.mark_dirty(l.0);
         }
+        true
     }
-
     /// Rescales `link` to `factor` times its *nominal* (creation-time)
     /// capacity. The factor is absolute, not cumulative: two successive
     /// `scale_link(l, 0.5)` calls leave the link at half capacity, and
@@ -437,7 +525,7 @@ impl FlowNet {
             }
         };
         l.scale = factor;
-        self.solver.get_mut().dirty.insert(link.0);
+        self.solver.get_mut().mark_dirty(link.0);
         Ok(())
     }
 
@@ -492,7 +580,7 @@ impl FlowNet {
 
     /// Remaining bytes of `flow`, or `None` once it has completed.
     pub fn flow_remaining(&self, flow: FlowId) -> Option<f64> {
-        self.flows.get(&flow).map(|f| f.remaining)
+        self.position(flow).map(|p| self.flows[p].remaining)
     }
 
     /// Current max-min fair rate of `flow` in bytes/second, or `None` once
@@ -502,7 +590,7 @@ impl FlowNet {
     /// dirty component if needed — hence `&self`.
     pub fn flow_rate(&self, flow: FlowId) -> Option<f64> {
         self.ensure_rates();
-        self.solver.borrow().rates.get(&flow).copied()
+        self.position(flow).map(|p| self.flows[p].rate.get())
     }
 
     /// Re-converges the dirty component, if any.
@@ -512,7 +600,9 @@ impl FlowNet {
             return;
         }
         if self.full {
-            s.dirty = (0..self.links.len()).collect();
+            for li in 0..self.links.len() {
+                s.mark_dirty(li);
+            }
         }
         self.solve(&mut s);
     }
@@ -524,46 +614,69 @@ impl FlowNet {
     /// solver's, so rates and demands stay bit-identical to a global
     /// recompute (asserted by [`FlowNet::set_shadow_verify`] mode).
     fn solve(&self, s: &mut Solver) {
+        let tag = s.epoch + 1;
+        if s.flow_mark.len() < self.flows.len() {
+            s.flow_mark.resize(self.flows.len(), 0);
+            s.fixed_mark.resize(self.flows.len(), 0);
+        }
+
         // --- Dirty-component closure. -----------------------------------
-        let mut comp_links: BTreeSet<usize> = s.dirty.iter().copied().collect();
-        let mut comp_flows: BTreeSet<FlowId> = BTreeSet::new();
-        let mut frontier: Vec<usize> = comp_links.iter().copied().collect();
-        while let Some(li) = frontier.pop() {
-            for id in &s.on_link[li] {
-                if comp_flows.insert(*id) {
-                    for l in &self.flows[id].route {
-                        if comp_links.insert(l.0) {
-                            frontier.push(l.0);
-                        }
+        // `comp_links` doubles as the breadth-first queue.
+        s.comp_links.clear();
+        s.comp_flows.clear();
+        for &li in &s.dirty {
+            s.link_mark[li] = tag;
+            s.comp_links.push(li);
+        }
+        let mut next = 0;
+        while next < s.comp_links.len() {
+            let li = s.comp_links[next];
+            next += 1;
+            for &id in &s.on_link[li] {
+                let pos = self.position(id).expect("link members are active flows");
+                if s.flow_mark[pos] == tag {
+                    continue;
+                }
+                s.flow_mark[pos] = tag;
+                s.comp_flows.push(pos);
+                for l in &self.flows[pos].route {
+                    if s.link_mark[l.0] != tag {
+                        s.link_mark[l.0] = tag;
+                        s.comp_links.push(l.0);
                     }
                 }
             }
         }
+        s.comp_links.sort_unstable();
+        s.comp_flows.sort_unstable();
 
         // --- Restricted progressive filling. ----------------------------
         // Residuals and unfixed counts live in persistent scratch vectors;
         // only component entries are touched. Counting uses the raw routes
         // (duplicates included), matching the reference solver.
-        for &li in &comp_links {
+        for &li in &s.comp_links {
             s.residual[li] = self.links[li].capacity.current();
             s.unfixed_on_link[li] = 0;
         }
-        let ids: Vec<FlowId> = comp_flows.iter().copied().collect();
-        let mut unfixed: Vec<bool> = vec![true; ids.len()];
-        let mut rate_of: Vec<f64> = vec![0.0; ids.len()];
-        for id in &ids {
-            for l in &self.flows[id].route {
+        s.capped.clear();
+        for &pos in &s.comp_flows {
+            let f = &self.flows[pos];
+            f.rate.set(0.0);
+            if f.cap.is_finite() {
+                s.capped.push(pos);
+            }
+            for l in &f.route {
                 s.unfixed_on_link[l.0] += 1;
             }
         }
 
-        let mut remaining_unfixed = ids.len();
+        let mut remaining_unfixed = s.comp_flows.len();
         while remaining_unfixed > 0 {
             // Bottleneck link: smallest fair share among component links
             // with unfixed flows (ascending index, strict `<`, so ties go
             // to the lowest index — as in the reference solver).
             let mut link_best: Option<(f64, usize)> = None;
-            for &li in &comp_links {
+            for &li in &s.comp_links {
                 if s.unfixed_on_link[li] > 0 {
                     let share = (s.residual[li] / s.unfixed_on_link[li] as f64).max(0.0);
                     if link_best.is_none_or(|(b, _)| share < b) {
@@ -574,11 +687,11 @@ impl FlowNet {
             // Capped flow that would saturate before the link share
             // (ascending flow id, strict `<`).
             let mut cap_best: Option<(f64, usize)> = None;
-            for (i, id) in ids.iter().enumerate() {
-                if unfixed[i] {
-                    let cap = self.flows[id].cap;
-                    if cap.is_finite() && cap_best.is_none_or(|(c, _)| cap < c) {
-                        cap_best = Some((cap, i));
+            for &pos in &s.capped {
+                if s.fixed_mark[pos] != tag {
+                    let cap = self.flows[pos].cap;
+                    if cap_best.is_none_or(|(c, _)| cap < c) {
+                        cap_best = Some((cap, pos));
                     }
                 }
             }
@@ -586,19 +699,20 @@ impl FlowNet {
             // The winning cap carries its values through the match, so no
             // later unwrap is needed.
             let cap_winner = match (cap_best, link_best) {
-                (Some((c, i)), Some((sh, _))) if c <= sh => Some((c, i)),
-                (Some((c, i)), None) => Some((c, i)),
+                (Some((c, p)), Some((sh, _))) if c <= sh => Some((c, p)),
+                (Some((c, p)), None) => Some((c, p)),
                 _ => None,
             };
 
-            if let Some((cap, i)) = cap_winner {
-                unfixed[i] = false;
+            if let Some((cap, pos)) = cap_winner {
+                s.fixed_mark[pos] = tag;
                 remaining_unfixed -= 1;
-                rate_of[i] = cap;
-                for l in &self.flows[&ids[i]].route {
-                    s.residual[l.0] = (s.residual[l.0] - cap).max(0.0);
-                    s.unfixed_on_link[l.0] -= 1;
-                }
+                fix_flow(
+                    &mut s.residual,
+                    &mut s.unfixed_on_link,
+                    &self.flows[pos],
+                    cap,
+                );
                 continue;
             }
 
@@ -606,24 +720,23 @@ impl FlowNet {
                 break;
             };
 
-            // Fix every unfixed flow crossing the bottleneck at `share`.
+            // Fix every unfixed flow crossing the bottleneck at `share`,
+            // walking its member list in ascending id.
             let mut fixed_any = false;
-            for (i, id) in ids.iter().enumerate() {
-                if !unfixed[i] {
-                    continue;
-                }
-                let crosses = self.flows[id].route.iter().any(|l| l.0 == bottleneck);
-                if !crosses {
+            for &id in &s.on_link[bottleneck] {
+                let pos = self.position(id).expect("link members are active flows");
+                if s.fixed_mark[pos] == tag {
                     continue;
                 }
                 fixed_any = true;
-                unfixed[i] = false;
+                s.fixed_mark[pos] = tag;
                 remaining_unfixed -= 1;
-                rate_of[i] = share;
-                for l in &self.flows[id].route {
-                    s.residual[l.0] = (s.residual[l.0] - share).max(0.0);
-                    s.unfixed_on_link[l.0] -= 1;
-                }
+                fix_flow(
+                    &mut s.residual,
+                    &mut s.unfixed_on_link,
+                    &self.flows[pos],
+                    share,
+                );
             }
             debug_assert!(fixed_any, "progressive filling made no progress");
             if !fixed_any {
@@ -631,22 +744,21 @@ impl FlowNet {
             }
         }
 
-        // --- Commit the component back into the converged state. --------
-        for (i, id) in ids.iter().enumerate() {
-            s.rates.insert(*id, rate_of[i]);
-        }
-        for &li in &comp_links {
+        // --- Commit the component's demands. -----------------------------
+        // (Rates were written into the flows as they were fixed.)
+        for &li in &s.comp_links {
             s.demand[li] = (self.links[li].capacity.current() - s.residual[li]).max(0.0);
         }
+        let comp_links = s.comp_links.len();
         s.epoch += 1;
         s.stats.solves += 1;
-        if comp_links.len() == self.links.len() {
+        if comp_links == self.links.len() {
             s.stats.full_solves += 1;
         }
-        s.stats.links_touched += comp_links.len() as u64;
-        s.stats.flows_touched += ids.len() as u64;
-        s.stats.max_component_links = s.stats.max_component_links.max(comp_links.len());
-        s.stats.last_component_links = comp_links.len();
+        s.stats.links_touched += comp_links as u64;
+        s.stats.flows_touched += s.comp_flows.len() as u64;
+        s.stats.max_component_links = s.stats.max_component_links.max(comp_links);
+        s.stats.last_component_links = comp_links;
         s.dirty.clear();
 
         if self.shadow {
@@ -656,22 +768,23 @@ impl FlowNet {
 
     /// Reference full solver (the pre-incremental algorithm, verbatim
     /// arithmetic): progressive filling over the whole network into fresh
-    /// buffers. Used by shadow verification and differential tests.
-    fn reference_solve(&self) -> (BTreeMap<FlowId, f64>, Vec<f64>) {
+    /// buffers, rescanning every flow's route to find a bottleneck's flows.
+    /// Returns rates by flow position and demands by link. Used by shadow
+    /// verification and differential tests.
+    fn reference_solve(&self) -> (Vec<f64>, Vec<f64>) {
         let n_links = self.links.len();
         let mut residual: Vec<f64> = self.links.iter().map(|l| l.capacity.current()).collect();
         let mut unfixed_on_link = vec![0usize; n_links];
 
-        let ids: Vec<FlowId> = self.flows.keys().copied().collect();
-        let mut unfixed: Vec<bool> = vec![true; ids.len()];
-        let mut rate_of: Vec<f64> = vec![0.0; ids.len()];
-        for id in &ids {
-            for l in &self.flows[id].route {
+        let mut unfixed: Vec<bool> = vec![true; self.flows.len()];
+        let mut rate_of: Vec<f64> = vec![0.0; self.flows.len()];
+        for f in &self.flows {
+            for l in &f.route {
                 unfixed_on_link[l.0] += 1;
             }
         }
 
-        let mut remaining_unfixed = ids.len();
+        let mut remaining_unfixed = self.flows.len();
         while remaining_unfixed > 0 {
             let mut link_best: Option<(f64, usize)> = None;
             for li in 0..n_links {
@@ -683,9 +796,9 @@ impl FlowNet {
                 }
             }
             let mut cap_best: Option<(f64, usize)> = None;
-            for (i, id) in ids.iter().enumerate() {
+            for (i, f) in self.flows.iter().enumerate() {
                 if unfixed[i] {
-                    let cap = self.flows[id].cap;
+                    let cap = f.cap;
                     if cap.is_finite() && cap_best.is_none_or(|(c, _)| cap < c) {
                         cap_best = Some((cap, i));
                     }
@@ -700,7 +813,7 @@ impl FlowNet {
                 unfixed[i] = false;
                 remaining_unfixed -= 1;
                 rate_of[i] = cap;
-                for l in &self.flows[&ids[i]].route {
+                for l in &self.flows[i].route {
                     residual[l.0] = (residual[l.0] - cap).max(0.0);
                     unfixed_on_link[l.0] -= 1;
                 }
@@ -710,18 +823,18 @@ impl FlowNet {
                 break;
             };
             let mut fixed_any = false;
-            for (i, id) in ids.iter().enumerate() {
+            for (i, f) in self.flows.iter().enumerate() {
                 if !unfixed[i] {
                     continue;
                 }
-                if !self.flows[id].route.iter().any(|l| l.0 == bottleneck) {
+                if !f.route.iter().any(|l| l.0 == bottleneck) {
                     continue;
                 }
                 fixed_any = true;
                 unfixed[i] = false;
                 remaining_unfixed -= 1;
                 rate_of[i] = share;
-                for l in &self.flows[id].route {
+                for l in &f.route {
                     residual[l.0] = (residual[l.0] - share).max(0.0);
                     unfixed_on_link[l.0] -= 1;
                 }
@@ -731,35 +844,26 @@ impl FlowNet {
             }
         }
 
-        let rates: BTreeMap<FlowId, f64> = ids
-            .iter()
-            .zip(rate_of.iter())
-            .map(|(id, r)| (*id, *r))
-            .collect();
         let demand: Vec<f64> = self
             .links
             .iter()
             .zip(residual.iter())
             .map(|(l, r)| (l.capacity.current() - r).max(0.0))
             .collect();
-        (rates, demand)
+        (rate_of, demand)
     }
 
     /// Asserts bitwise equality between the incremental solver's converged
     /// state and a fresh reference full solve.
     fn shadow_check(&self, s: &Solver) {
         let (ref_rates, ref_demand) = self.reference_solve();
-        assert_eq!(
-            s.rates.len(),
-            ref_rates.len(),
-            "shadow solver: flow-set mismatch"
-        );
-        for (id, rate) in &s.rates {
-            let reference = ref_rates[id];
+        for (f, reference) in self.flows.iter().zip(&ref_rates) {
+            let rate = f.rate.get();
             assert!(
                 rate.to_bits() == reference.to_bits(),
-                "shadow solver: flow {id:?} rate diverged \
+                "shadow solver: flow {:?} rate diverged \
                  (incremental {rate:e}, reference {reference:e}, epoch {})",
+                f.id,
                 s.epoch,
             );
         }
@@ -781,8 +885,8 @@ impl FlowNet {
         self.ensure_rates();
         let s = self.solver.borrow();
         let mut next: Option<f64> = None;
-        for (id, f) in &self.flows {
-            let rate = s.rates.get(id).copied().unwrap_or(0.0);
+        for f in &self.flows {
+            let rate = f.rate.get();
             if rate > 0.0 {
                 let t = f.remaining / rate;
                 if next.is_none_or(|n| t < n) {
@@ -790,8 +894,8 @@ impl FlowNet {
                 }
             }
         }
-        for (li, l) in self.links.iter().enumerate() {
-            if let Capacity::Bucketed(b) = &l.capacity {
+        for &li in &self.bucketed {
+            if let Capacity::Bucketed(b) = &self.links[li].capacity {
                 if let Some(t) = b.next_transition(s.demand[li]) {
                     if next.is_none_or(|n| t < n) {
                         next = Some(t);
@@ -800,6 +904,33 @@ impl FlowNet {
             }
         }
         next
+    }
+
+    /// Applies `update` to every token bucket, passing the link's converged
+    /// demand, and dirties a bucketed link only when its
+    /// [`TokenBucket::current_rate`] changed — the only way a bucket enters
+    /// the max-min solve (see the module docs on quiet buckets).
+    fn update_buckets(&mut self, mut update: impl FnMut(&mut TokenBucket, f64)) {
+        let s = self.solver.get_mut();
+        for &li in &self.bucketed {
+            if let Capacity::Bucketed(b) = &mut self.links[li].capacity {
+                let before = b.current_rate();
+                update(b, s.demand[li]);
+                if b.current_rate().to_bits() != before.to_bits() {
+                    s.mark_dirty(li);
+                }
+            }
+        }
+    }
+
+    /// Refills every token bucket to full, as after an idle period long
+    /// enough for every device cache to flush. A caller that starts an
+    /// independent run on a reused network calls this first so the run
+    /// does not inherit the previous one's drained buckets. On a network
+    /// whose buckets are already full this changes nothing, not even the
+    /// [`SolverStats`].
+    pub fn refill_buckets(&mut self) {
+        self.update_buckets(|b, _| b.refill());
     }
 
     /// Advances the network by exactly `dt_secs`, reporting per-link bytes to
@@ -816,11 +947,10 @@ impl FlowNet {
     ) -> Vec<FlowId> {
         assert!(dt_secs >= 0.0 && dt_secs.is_finite());
         self.ensure_rates();
-        let s = self.solver.get_mut();
 
         let mut completed = Vec::new();
-        for (id, f) in self.flows.iter_mut() {
-            let rate = s.rates.get(id).copied().unwrap_or(0.0);
+        for f in &mut self.flows {
+            let rate = f.rate.get();
             if rate <= 0.0 {
                 continue;
             }
@@ -830,25 +960,24 @@ impl FlowNet {
                 obs.on_transfer(*l, now, dt_secs, bytes);
             }
             if f.remaining <= EPS_BYTES {
-                completed.push(*id);
+                completed.push(f.id);
             }
         }
-        // Buckets drain/refill with the pre-advance demand; their capacity
-        // moves with time, so every bucketed link is dirty after a step.
-        for (li, l) in self.links.iter_mut().enumerate() {
-            if let Capacity::Bucketed(b) = &mut l.capacity {
-                b.advance(dt_secs, s.demand[li]);
-                s.dirty.insert(li);
-            }
-        }
-        for id in &completed {
-            if let Some(f) = self.flows.remove(id) {
-                s.rates.remove(id);
-                for l in &f.route {
-                    s.on_link[l.0].remove(id);
-                    s.dirty.insert(l.0);
+        // Buckets drain/refill with the pre-advance demand.
+        self.update_buckets(|b, demand| b.advance(dt_secs, demand));
+        if !completed.is_empty() {
+            let s = self.solver.get_mut();
+            let mut done = completed.iter().peekable();
+            self.flows.retain(|f| {
+                if done.next_if_eq(&&f.id).is_none() {
+                    return true;
                 }
-            }
+                for l in &f.route {
+                    unlink(&mut s.on_link[l.0], f.id);
+                    s.mark_dirty(l.0);
+                }
+                false
+            });
         }
         completed
     }
@@ -1286,7 +1415,8 @@ mod tests {
     #[test]
     fn shadow_verify_toggles_and_defaults() {
         let mut net = FlowNet::new();
-        // Whatever the environment default, the toggle must win.
+        // On in debug builds, off in release; the toggle overrides it.
+        assert_eq!(net.shadow_verify(), cfg!(debug_assertions));
         net.set_shadow_verify(true);
         assert!(net.shadow_verify());
         let l = net.add_link("l", 10.0);
@@ -1347,5 +1477,187 @@ mod tests {
         let r1 = net.flow_rate(single).unwrap();
         assert!((r0 - 10.0 / 3.0).abs() < 1e-9, "r0 = {r0}");
         assert!((r1 - 10.0 / 3.0).abs() < 1e-9, "r1 = {r1}");
+    }
+
+    // --- Quiet buckets. -------------------------------------------------
+
+    #[test]
+    fn idle_full_bucket_stays_out_of_the_next_solve() {
+        let mut net = FlowNet::new();
+        let l = net.add_link("l", 10.0);
+        let nvme = net.add_bucketed_link("nvme", TokenBucket::new(10.0, 10.0, 2.0));
+        net.start_flow(&[l], 100.0).unwrap();
+        net.link_demand(l);
+        let solves = net.solver_stats().solves;
+        // One second passes: no flow finishes and the idle, full bucket
+        // keeps its burst rate, so nothing is stale.
+        net.advance(SimTime::ZERO, 1.0, &mut NullObserver);
+        assert_eq!(net.link_demand(nvme), 0.0);
+        assert_eq!(net.solver_stats().solves, solves);
+        // The next event re-converges the fixed link alone.
+        let f = net.start_flow(&[l], 100.0).unwrap();
+        assert!((net.flow_rate(f).unwrap() - 5.0).abs() < 1e-9);
+        let stats = net.solver_stats();
+        assert_eq!(stats.solves, solves + 1);
+        assert_eq!(stats.last_component_links, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn bucket_crossing_to_sustained_rate_rebalances_its_flows() {
+        // 10-byte bucket, burst 10 B/s, sustained 2 B/s, shared by two
+        // flows (one also crossing a fast fixed link): 5 B/s each drains
+        // the bucket in 10 / (10 - 2) = 1.25 s, then 1 B/s each.
+        let mut net = FlowNet::new();
+        net.set_shadow_verify(true);
+        let fast = net.add_link("fast", 100.0);
+        let nvme = net.add_bucketed_link("nvme", TokenBucket::new(10.0, 10.0, 2.0));
+        let a = net.start_flow(&[nvme], 100.0).unwrap();
+        let b = net.start_flow(&[fast, nvme], 100.0).unwrap();
+        assert_eq!(net.flow_rate(a), Some(5.0));
+        let dt = net.next_event_in().unwrap();
+        assert!((dt - 1.25).abs() < 1e-12, "dt = {dt}");
+        let solves = net.solver_stats().solves;
+        assert!(net.advance(SimTime::ZERO, dt, &mut NullObserver).is_empty());
+        assert_eq!(net.link_capacity(nvme), 2.0);
+        assert_eq!(net.flow_rate(a), Some(1.0));
+        assert_eq!(net.flow_rate(b), Some(1.0));
+        let stats = net.solver_stats();
+        assert_eq!(stats.solves, solves + 1);
+        assert_eq!(stats.last_component_links, 2, "{stats:?}");
+    }
+
+    #[test]
+    fn refill_buckets_restores_burst_and_is_quiet_when_full() {
+        let mut net = FlowNet::new();
+        let nvme = net.add_bucketed_link("nvme", TokenBucket::new(10.0, 10.0, 2.0));
+        // Already full: no dirty link, no solve, no epoch bump.
+        net.refill_buckets();
+        net.link_demand(nvme);
+        assert_eq!(net.solver_stats(), SolverStats::default());
+        assert_eq!(net.solver_epoch(), 0);
+        // Drain it, then refill: back at the burst rate after one solve.
+        net.start_flow(&[nvme], 30.0).unwrap();
+        net.drain(&mut NullObserver).unwrap();
+        assert_eq!(net.link_capacity(nvme), 2.0);
+        let solves = net.solver_stats().solves;
+        net.refill_buckets();
+        assert_eq!(net.link_capacity(nvme), 10.0);
+        let f = net.start_flow(&[nvme], 10.0).unwrap();
+        assert_eq!(net.flow_rate(f), Some(10.0));
+        assert_eq!(net.solver_stats().solves, solves + 1);
+    }
+
+    // --- Ordering invariants of the dense layout. ----------------------
+
+    /// Records every transfer callback in arrival order.
+    #[derive(Default)]
+    struct Transcript(Vec<(LinkId, f64)>);
+
+    impl FlowObserver for Transcript {
+        fn on_transfer(&mut self, link: LinkId, _: SimTime, _: f64, bytes: f64) {
+            self.0.push((link, bytes));
+        }
+    }
+
+    use zerosim_testkit::gen::{f64_range, map, tuple3, usize_range, vec_of};
+    use zerosim_testkit::{prop, prop_assert, prop_assert_eq};
+
+    prop! {
+        /// Over random flow sets — rate caps, duplicate route entries,
+        /// cancellations, link rescales and token-bucketed links — transfer
+        /// callbacks arrive in ascending flow id and then route order,
+        /// completions come back in ascending id, and every converged rate
+        /// and demand equals the reference full solve bit for bit.
+        #[cases(64)]
+        fn dense_layout_keeps_its_ordering_invariants(
+            // Few distinct capacities, so equal fair shares — where only
+            // the ascending link order decides the bottleneck — are common.
+            caps in vec_of(map(usize_range(1, 3), |k| k as f64 * 7.0), 2, 8),
+            ops in vec_of(
+                tuple3(usize_range(0, 6), usize_range(0, 9999), f64_range(0.1, 500.0)),
+                4,
+                48,
+            ),
+        ) {
+            let mut net = FlowNet::new();
+            net.set_shadow_verify(true);
+            let links: Vec<LinkId> = caps
+                .iter()
+                .enumerate()
+                .map(|(i, c)| {
+                    if i % 3 == 2 {
+                        let bucket = TokenBucket::new(c * 2.0, *c, c / 4.0);
+                        net.add_bucketed_link(format!("b{i}"), bucket)
+                    } else {
+                        net.add_link(format!("l{i}"), *c)
+                    }
+                })
+                .collect();
+            let n = links.len();
+            // Active flows in ascending id, with their routes.
+            let mut active: Vec<(FlowId, Vec<LinkId>)> = Vec::new();
+            for (op, sel, value) in &ops {
+                match op {
+                    // Arrival: 1–3 route entries, repeats allowed, every
+                    // fourth flow rate-capped.
+                    0..=2 => {
+                        let route: Vec<LinkId> = (0..=sel % 3)
+                            .map(|k| links[(sel / (k + 1)) % n])
+                            .collect();
+                        let cap = if sel % 4 == 0 { value * 0.3 } else { f64::INFINITY };
+                        let id = net.start_flow_capped(&route, *value, cap).unwrap();
+                        active.push((id, route));
+                    }
+                    3 => {
+                        if !active.is_empty() {
+                            let (victim, _) = active.remove(sel % active.len());
+                            prop_assert!(net.cancel_flow(victim));
+                        }
+                    }
+                    4 => {
+                        let factor = 0.1 + (value % 2.0);
+                        net.scale_link(links[sel % n], factor).unwrap();
+                    }
+                    // Advance to the next event, or part of the way there
+                    // (an idle network just lets its buckets refill).
+                    _ => {
+                        let dt = match net.next_event_in() {
+                            Some(next) if sel % 2 == 0 => next,
+                            Some(next) => next * 0.5,
+                            None => value * 0.01,
+                        };
+                        let mut expected = Vec::new();
+                        let mut expected_done = Vec::new();
+                        for (id, route) in &active {
+                            let rate = net.flow_rate(*id).unwrap();
+                            if rate <= 0.0 {
+                                continue;
+                            }
+                            let remaining = net.flow_remaining(*id).unwrap();
+                            let bytes = (rate * dt).min(remaining);
+                            expected.extend(route.iter().map(|l| (*l, bytes)));
+                            if remaining - bytes <= EPS_BYTES {
+                                expected_done.push(*id);
+                            }
+                        }
+                        let mut seen = Transcript::default();
+                        let done = net.advance(SimTime::ZERO, dt, &mut seen);
+                        prop_assert_eq!(seen.0, expected);
+                        prop_assert_eq!(&done, &expected_done);
+                        active.retain(|(id, _)| !done.contains(id));
+                    }
+                }
+                prop_assert_eq!(net.flow_count(), active.len());
+                net.link_demand(links[0]); // converge before the oracle
+                let (ref_rates, ref_demand) = net.reference_solve();
+                for ((id, _), reference) in active.iter().zip(&ref_rates) {
+                    let rate = net.flow_rate(*id).unwrap();
+                    prop_assert_eq!(rate.to_bits(), reference.to_bits());
+                }
+                for (l, reference) in links.iter().zip(&ref_demand) {
+                    prop_assert_eq!(net.link_demand(*l).to_bits(), reference.to_bits());
+                }
+            }
+        }
     }
 }

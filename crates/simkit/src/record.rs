@@ -8,8 +8,6 @@
 //! into fixed-width time buckets, and statistics are computed over the
 //! bucket samples exactly as a periodic hardware counter would observe them.
 
-use std::collections::BTreeMap;
-
 use crate::flow::{FlowObserver, LinkId};
 use crate::time::SimTime;
 
@@ -203,7 +201,9 @@ impl EngineStats {
 #[derive(Debug, Clone)]
 pub struct BandwidthRecorder {
     bucket: SimTime,
-    bytes: BTreeMap<LinkId, Vec<f64>>,
+    /// Bytes per time bucket, indexed by link; a link past the end has
+    /// recorded nothing.
+    bytes: Vec<Vec<f64>>,
     horizon: SimTime,
     origin: SimTime,
 }
@@ -226,7 +226,7 @@ impl BandwidthRecorder {
         assert!(!bucket.is_zero(), "bucket width must be positive");
         BandwidthRecorder {
             bucket,
-            bytes: BTreeMap::new(),
+            bytes: Vec::new(),
             horizon: SimTime::ZERO,
             origin,
         }
@@ -248,7 +248,7 @@ impl BandwidthRecorder {
         let n = self.bucket_count();
         let width = self.bucket.as_secs();
         let mut out = vec![0.0; n];
-        if let Some(b) = self.bytes.get(&link) {
+        if let Some(b) = self.bytes.get(link.index()) {
             for (i, v) in b.iter().enumerate() {
                 out[i] = v / width;
             }
@@ -263,7 +263,7 @@ impl BandwidthRecorder {
         let width = self.bucket.as_secs();
         let mut out = vec![0.0; n];
         for link in links {
-            if let Some(b) = self.bytes.get(link) {
+            if let Some(b) = self.bytes.get(link.index()) {
                 for (i, v) in b.iter().enumerate() {
                     out[i] += v / width;
                 }
@@ -280,7 +280,7 @@ impl BandwidthRecorder {
 
     /// Total bytes recorded on `link`.
     pub fn total_bytes(&self, link: LinkId) -> f64 {
-        self.bytes.get(&link).map_or(0.0, |b| b.iter().sum())
+        self.bytes.get(link.index()).map_or(0.0, |b| b.iter().sum())
     }
 
     #[allow(clippy::cast_possible_truncation)] // bucket counts are small
@@ -314,7 +314,10 @@ impl BandwidthRecorder {
         let width_ns = self.bucket.as_nanos();
         let first = start.as_nanos() / width_ns;
         let last = (end.as_nanos().saturating_sub(1)) / width_ns;
-        let buf = self.bytes.entry(link).or_default();
+        if self.bytes.len() <= link.index() {
+            self.bytes.resize_with(link.index() + 1, Vec::new);
+        }
+        let buf = &mut self.bytes[link.index()];
         if buf.len() <= last as usize {
             buf.resize(last as usize + 1, 0.0);
         }

@@ -2,7 +2,9 @@
 # Tier-1 verification plus the hermeticity and hygiene gates.
 #
 #   1. hygiene:     cargo fmt --check && cargo clippy -D warnings
-#   2. tier-1:      cargo build --release && cargo test -q
+#   2. tier-1:      cargo build --release && cargo test -q, then the whole
+#                   workspace suite in release (cargo test --release
+#                   --workspace)
 #   3. hermeticity: the same build must succeed with --offline and the
 #                   manifests must declare no registry dependencies
 #   4. bench smoke: in-house-harness bench targets in --quick mode,
@@ -55,6 +57,9 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
+echo "== workspace: every crate's tests (release) =="
+cargo test --release --workspace -q
+
 echo "== hermeticity: offline build =="
 cargo build --release --offline
 cargo test -q --offline --no-run
@@ -82,11 +87,11 @@ cargo bench -p zerosim-bench --bench dag_build -- --quick
 cargo test -q -p zerosim-core ddp_run_produces_sane_report
 
 echo "== solver-equivalence smoke: shadow mode on a golden config =="
-# ZEROSIM_SHADOW=1 makes every incremental solve run the full reference
-# solver next to it and assert bitwise-equal rates (FlowNet::shadow_check).
-# Debug tests default shadow on; forcing the env keeps this a gate, not a
-# default. dual_node_uses_roce runs a golden dual-node configuration.
-ZEROSIM_SHADOW=1 cargo test -q -p zerosim-core dual_node_uses_roce
+# Debug builds run every incremental solve next to the full reference
+# solver and assert bitwise-equal rates (FlowNet::shadow_check), so this
+# debug test is the gate. dual_node_uses_roce runs a golden dual-node
+# configuration.
+cargo test -q -p zerosim-core dual_node_uses_roce
 # The incremental solver must also match the pre-refactor cost profile's
 # results bit-for-bit across randomized topologies (64-case property test).
 cargo test -q --test proptest_invariants incremental_solver_matches_full_recompute

@@ -292,6 +292,35 @@ fn golden_dozen_digests_survive_the_workload_ir_refactor() {
     }
 }
 
+/// A reused simulator reports what a fresh one does. `TrainingSim::run`
+/// refills the token buckets a previous run drained, so a jitter-1 run
+/// that follows a jitter-0 run on the same simulator must reproduce the
+/// fresh-simulator pin for every golden configuration — ZeRO-Infinity's
+/// NVMe volume included.
+#[test]
+fn reused_simulator_matches_the_fresh_pin() {
+    for spec in zerosim_bench::data::golden_specs() {
+        let mut sim = spec.simulator().expect("golden simulator builds");
+        let mut opts = spec.opts;
+        for seed in [0u64, 1] {
+            opts.jitter_seed = seed;
+            let report = sim
+                .run(&spec.strategy, &spec.model, &opts, &spec.run)
+                .expect("golden spec runs");
+            let &(_, _, want) = GOLDEN_DIGESTS
+                .iter()
+                .find(|(s, label, _)| *s == seed && *label == spec.label)
+                .expect("every golden label is pinned");
+            assert_eq!(
+                report.digest(),
+                want,
+                "run {seed} on a reused simulator drifted for {}",
+                spec.label
+            );
+        }
+    }
+}
+
 // ---------- per-family validation properties ----------
 
 prop! {
