@@ -258,10 +258,9 @@ impl NvmeConfig {
 /// The golden strategy × node-count matrix of `tests/plan_equivalence.rs`
 /// plus the ZeRO-Infinity configuration: 12 sweep specs in fixed order.
 ///
-/// This is the canonical regression workload — `tests/sweep_determinism.rs`
-/// pins its width-invariance, `tests/engine_equivalence.rs` pins
-/// arena-vs-reference digests over it, and the `engine_arena` bench
-/// measures iteration throughput on it.
+/// This is the canonical regression workload: `tests/sweep_determinism.rs`
+/// pins its width-invariance and `tests/plan_equivalence.rs` pins its
+/// digests at four jitter seeds.
 pub fn golden_specs() -> Vec<SweepSpec> {
     let model = GptConfig::paper_model_with_params(1.4);
     let run = RunConfig {

@@ -5,7 +5,8 @@
 
 use zerosim_hw::{Cluster, ClusterSpec, LinkClass};
 use zerosim_model::GptConfig;
-use zerosim_simkit::{BandwidthRecorder, Dag, DagEngine, EngineMode, FlowObserver, SimTime};
+use zerosim_simkit::engine::EngineMode;
+use zerosim_simkit::{BandwidthRecorder, Dag, DagEngine, FlowObserver, SimTime};
 use zerosim_strategies::{
     lower, plan_checkpoint, plan_restore, Calibration, CheckpointSink, IterCtx, StrategyPlan,
     TrainOptions,
@@ -76,7 +77,6 @@ impl RunConfig {
 pub struct TrainingSim {
     cluster: Cluster,
     calib: Calibration,
-    engine_mode: EngineMode,
 }
 
 impl TrainingSim {
@@ -88,7 +88,6 @@ impl TrainingSim {
         Ok(TrainingSim {
             cluster: Cluster::new(spec).map_err(CoreError::BadCluster)?,
             calib: Calibration::default(),
-            engine_mode: EngineMode::default(),
         })
     }
 
@@ -100,22 +99,20 @@ impl TrainingSim {
         Ok(TrainingSim {
             cluster: Cluster::new(spec).map_err(CoreError::BadCluster)?,
             calib,
-            engine_mode: EngineMode::default(),
         })
     }
 
-    /// The DAG-executor implementation runs will use
-    /// ([`EngineMode::Arena`] unless overridden by `ZEROSIM_ENGINE`).
+    /// Selects nothing: the DAG engine has one executor. Kept, with
+    /// [`TrainingSim::set_engine_mode`], only for the benchmark harness
+    /// under `zsbench/`; no other caller may use it.
+    #[doc(hidden)]
     pub fn engine_mode(&self) -> EngineMode {
-        self.engine_mode
+        EngineMode
     }
 
-    /// Selects the DAG-executor implementation for subsequent runs — the
-    /// differential equivalence suite uses this to pin one simulator to
-    /// [`EngineMode::Reference`] and compare digests against the arena.
-    pub fn set_engine_mode(&mut self, mode: EngineMode) {
-        self.engine_mode = mode;
-    }
+    /// Does nothing; see [`TrainingSim::engine_mode`].
+    #[doc(hidden)]
+    pub fn set_engine_mode(&mut self, _mode: EngineMode) {}
 
     /// The simulated cluster (e.g. to create NVMe volumes before an
     /// Infinity run).
@@ -184,7 +181,6 @@ impl TrainingSim {
         let plan_lowerings = 1usize;
 
         let mut engine = DagEngine::new(self.cluster.resource_slots());
-        engine.set_mode(self.engine_mode);
 
         // Warm-up (unrecorded). Each iteration re-stamps with its own
         // jitter seed so the measured window shows realistic run-to-run
@@ -304,7 +300,6 @@ impl TrainingSim {
         save.validate(&self.cluster)?;
         let dag = lower(&save, &self.cluster, &self.calib)?.into_dag();
         let mut engine = DagEngine::new(self.cluster.resource_slots());
-        engine.set_mode(self.engine_mode);
         let out = engine.run(self.cluster.net_mut(), &dag, SimTime::ZERO, None)?;
         Ok(out.makespan().as_secs())
     }
@@ -360,7 +355,6 @@ impl TrainingSim {
         };
 
         let mut engine = DagEngine::new(self.cluster.resource_slots());
-        engine.set_mode(self.engine_mode);
         let mut cursor = faults.schedule.cursor();
         let scheduled_faults = cursor.remaining();
 

@@ -41,6 +41,7 @@
 
 use zerosim_hw::{Cluster, GpuId, LinkClass, TopologySpec};
 use zerosim_model::GptConfig;
+use zerosim_simkit::digest::{mix, mix_str};
 use zerosim_simkit::{FaultKind, FaultSchedule};
 use zerosim_strategies::{CheckpointSink, RecoveryPolicy, Strategy, TrainOptions};
 use zerosim_testkit::rng::Rng;
@@ -50,7 +51,6 @@ use crate::energy::PowerModel;
 use crate::engine::{RunConfig, TrainingSim};
 use crate::error::CoreError;
 use crate::faults::FaultConfig;
-use crate::report::{mix, mix_str};
 use crate::search::{search_plans, SearchConfig};
 use crate::sweep::{SweepRunner, SweepSpec};
 

@@ -70,7 +70,7 @@ pub use sweep::{SweepRun, SweepRunner, SweepSpec};
 pub use timeline::{profile_tracks, to_chrome_trace, TrackProfile};
 
 // Re-export the pieces callers need alongside the engine.
-pub use zerosim_simkit::{EngineMode, EngineStats, FaultKind, FaultSchedule};
+pub use zerosim_simkit::{EngineStats, FaultKind, FaultSchedule};
 pub use zerosim_strategies::{
     Calibration, CheckpointSink, IterCtx, IterPlan, LoweredPlan, RecoveryPolicy, ServingStrategy,
     Strategy, StrategyError, StrategyPlan, StrategyRegistry, TrainOptions,

@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 
 use zerosim_hw::{Cluster, LinkClass};
+use zerosim_simkit::digest::{mix, mix_str};
 use zerosim_simkit::{
     BandwidthRecorder, BandwidthStats, EngineStats, SimTime, SolverStats, SpanLog,
 };
@@ -219,12 +220,11 @@ pub struct TrainingReport {
     /// the run was computed, not *what* was measured, so it is excluded
     /// from [`TrainingReport::digest`].
     pub solver: SolverStats,
-    /// DAG-engine work accounting for the run (ticks, batch sizes, arena
-    /// reuse hits — see [`zerosim_simkit::EngineStats`]). Like
+    /// DAG-engine work accounting for the run (runs, ticks, retired tasks,
+    /// started flows — see [`zerosim_simkit::EngineStats`]). Like
     /// [`TrainingReport::solver`], these counters describe how the
     /// simulation executed, not what it measured, so they are excluded
-    /// from [`TrainingReport::digest`]: the arena and reference engines
-    /// must produce equal digests even though only the arena batches.
+    /// from [`TrainingReport::digest`].
     pub engine: EngineStats,
 }
 
@@ -301,26 +301,6 @@ impl TrainingReport {
         }
         mix(h, self.plan_lowerings as u64)
     }
-}
-
-/// SplitMix64-style mixing step used by [`TrainingReport::digest`] (and
-/// [`crate::SearchReport::digest`]).
-pub(crate) fn mix(h: u64, v: u64) -> u64 {
-    let mut z = h ^ v.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-pub(crate) fn mix_str(h: u64, s: &str) -> u64 {
-    let mut h = mix(h, s.len() as u64);
-    for chunk in s.as_bytes().chunks(8) {
-        let mut buf = [0u8; 8];
-        buf[..chunk.len()].copy_from_slice(chunk);
-        h = mix(h, u64::from_le_bytes(buf));
-    }
-    h
 }
 
 #[cfg(test)]
@@ -418,13 +398,10 @@ mod tests {
         d.solver.solves = 999;
         d.solver.links_touched = 12345;
         assert_eq!(a.digest(), d.digest());
-        // Engine work accounting (ticks, batches, arena reuse) is also an
-        // execution detail: the arena and reference engines must digest
-        // identically despite disjoint counter profiles.
+        // Engine work accounting is also an execution detail.
         let mut e = blank_report();
         e.engine.ticks = 777;
-        e.engine.batches = 42;
-        e.engine.arena_reuse_hits = 7;
+        e.engine.tasks_finished = 42;
         assert_eq!(a.digest(), e.digest());
         assert_eq!(
             c.resilience.as_ref().unwrap().time_to_recover(),

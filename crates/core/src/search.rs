@@ -41,11 +41,11 @@
 use zerosim_analyzer::{analyze_strategy, LintConfig, Severity};
 use zerosim_hw::{Cluster, TopologySpec};
 use zerosim_model::GptConfig;
+use zerosim_simkit::digest::{mix, mix_str};
 use zerosim_strategies::{Calibration, ParallelPlacement, Strategy, TrainOptions, ZeroStage};
 
 use crate::engine::RunConfig;
 use crate::error::CoreError;
-use crate::report::{mix, mix_str};
 use crate::sweep::{SweepRunner, SweepSpec};
 
 /// What to search: a model on a topology, plus run/parallelism knobs.

@@ -29,7 +29,8 @@ use std::collections::{HashMap, VecDeque};
 
 use zerosim_hw::{ClusterSpec, NvmeId};
 use zerosim_model::GptConfig;
-use zerosim_simkit::{DagEngine, EngineMode, SimTime};
+use zerosim_simkit::digest::{mix, mix_str};
+use zerosim_simkit::{DagEngine, SimTime};
 use zerosim_strategies::{
     kv_bucket, kv_bytes_per_token, lower, Calibration, IterCtx, LoweredPlan, ServingStrategy,
     TrainOptions,
@@ -39,7 +40,6 @@ use zerosim_testkit::rng::Rng;
 
 use crate::engine::TrainingSim;
 use crate::error::CoreError;
-use crate::report::{mix, mix_str};
 
 /// How requests enter the system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -283,7 +283,6 @@ pub fn serve(
         .collect();
 
     let mut engine = DagEngine::new(sim.cluster().resource_slots());
-    engine.set_mode(sim.engine_mode());
     // Plan caches: decode keyed by (batch, KV bucket), prefill by the
     // admitted (total prompt tokens, request count) shape.
     let mut decode_cache: HashMap<(usize, usize), LoweredPlan> = HashMap::new();
@@ -486,8 +485,6 @@ pub struct ServeSpec {
     pub trace: TraceConfig,
     /// Continuous-batching slot count.
     pub max_batch: usize,
-    /// The DAG-executor implementation to run with.
-    pub engine: EngineMode,
 }
 
 impl ServeSpec {
@@ -509,7 +506,6 @@ impl ServeSpec {
             opts,
             trace,
             max_batch: 8,
-            engine: EngineMode::default(),
         }
     }
 
@@ -531,19 +527,12 @@ impl ServeSpec {
         self
     }
 
-    /// Pins the DAG-executor implementation for this spec.
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Builds a fresh simulator and executes this spec to completion.
     ///
     /// # Errors
     /// Whatever [`TrainingSim::new`] or [`serve`] return.
     pub fn execute(&self) -> Result<ServeRun, CoreError> {
         let mut sim = TrainingSim::with_calibration(self.cluster.clone(), self.calibration)?;
-        sim.set_engine_mode(self.engine);
         for members in &self.volumes {
             sim.cluster_mut().create_volume(members.clone());
         }

@@ -45,7 +45,7 @@
 
 use zerosim_hw::{ClusterSpec, NvmeId};
 use zerosim_model::GptConfig;
-use zerosim_simkit::EngineMode;
+use zerosim_simkit::engine::EngineMode;
 use zerosim_strategies::{Calibration, Strategy, TrainOptions};
 use zerosim_testkit::pool::ThreadPool;
 
@@ -84,9 +84,10 @@ pub struct SweepSpec {
     /// [`TrainingSim::run_resilient`] with this fault schedule; when
     /// `None`, through the plain [`TrainingSim::run`].
     pub faults: Option<FaultConfig>,
-    /// The DAG-executor implementation to run with. Part of the spec so a
-    /// differential sweep can rebuild the identical world on both engines;
-    /// the digest must not depend on this choice.
+    /// Selects nothing: the DAG engine has one executor. Kept only for
+    /// the benchmark harness under `zsbench/`, which passes it to
+    /// [`TrainingSim::set_engine_mode`]; no other caller may use it.
+    #[doc(hidden)]
     pub engine: EngineMode,
 }
 
@@ -109,7 +110,7 @@ impl SweepSpec {
             opts,
             run: RunConfig::default(),
             faults: None,
-            engine: EngineMode::default(),
+            engine: EngineMode,
         }
     }
 
@@ -144,20 +145,13 @@ impl SweepSpec {
         self
     }
 
-    /// Pins the DAG-executor implementation for this spec.
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Builds this spec's fresh simulator: its cluster, calibration,
-    /// engine mode and NVMe volumes, before any run.
+    /// Builds this spec's fresh simulator: its cluster, calibration and
+    /// NVMe volumes, before any run.
     ///
     /// # Errors
     /// Whatever [`TrainingSim::with_calibration`] returns for the cluster.
     pub fn simulator(&self) -> Result<TrainingSim, CoreError> {
         let mut sim = TrainingSim::with_calibration(self.cluster.clone(), self.calibration)?;
-        sim.set_engine_mode(self.engine);
         for members in &self.volumes {
             sim.cluster_mut().create_volume(members.clone());
         }

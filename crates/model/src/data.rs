@@ -6,6 +6,8 @@
 //! a deterministic token-stream generator with the right geometry so that
 //! examples and tests can drive the full input pipeline.
 
+use zerosim_testkit::rng::splitmix64;
+
 use crate::config::GptConfig;
 
 /// A batch of token ids, `sequences × seq_len`.
@@ -56,17 +58,9 @@ impl SyntheticCorpus {
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(index.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        let mut next = || {
-            // SplitMix64.
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
         let mut tokens = Vec::with_capacity(sequences * seq_len);
         for _ in 0..sequences * seq_len {
-            let r = next();
+            let r = splitmix64(&mut state);
             // Squaring a uniform skews low ids — a cheap Zipf stand-in.
             let u = (r >> 11) as f64 / (1u64 << 53) as f64;
             // u*u in [0,1), so the product stays below `vocab` (< 2^32).

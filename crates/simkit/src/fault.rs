@@ -15,6 +15,7 @@
 //! results. [`FaultSchedule::digest`] provides a stable fingerprint that
 //! reports can embed so two runs can be compared for equality.
 
+use crate::digest::mix;
 use crate::error::SimError;
 use crate::flow::LinkId;
 use crate::time::SimTime;
@@ -244,15 +245,6 @@ impl FaultSchedule {
             pos: 0,
         }
     }
-}
-
-/// SplitMix64-style mixing step used by [`FaultSchedule::digest`].
-fn mix(h: u64, v: u64) -> u64 {
-    let mut z = h ^ v.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Iteration state over a [`FaultSchedule`], shared across the back-to-back

@@ -45,6 +45,7 @@
 
 pub mod bucket;
 pub mod dag;
+pub mod digest;
 pub mod engine;
 mod error;
 pub mod fault;
@@ -54,7 +55,7 @@ mod time;
 
 pub use bucket::TokenBucket;
 pub use dag::{Dag, DagBuilder, ResourceId, TaskId, TaskKind};
-pub use engine::{DagEngine, EngineMode, RunOutcome};
+pub use engine::{DagEngine, RunOutcome};
 pub use error::SimError;
 pub use fault::{FaultCursor, FaultEvent, FaultKind, FaultSchedule, FLAP_FLOOR};
 pub use flow::{FlowId, FlowNet, FlowObserver, LinkId, NullObserver};
