@@ -1,7 +1,8 @@
 //! `zerosim-analyzer` — `planlint`: static analysis over the three
 //! artifact layers the simulator produces.
 //!
-//! Every registry strategy compiles to a typed [`IterPlan`] IR, lowers
+//! Every registry strategy compiles to a typed
+//! [`WorkloadPlan`](zerosim_strategies::WorkloadPlan) IR, lowers
 //! to a [`zerosim_simkit::Dag`], and may carry a
 //! [`zerosim_simkit::FaultSchedule`]. That makes the paper's headline
 //! properties — which interconnect binds each ZeRO stage, when a model

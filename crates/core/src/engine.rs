@@ -132,7 +132,7 @@ impl TrainingSim {
 
     /// Characterizes one training configuration.
     ///
-    /// The strategy's [`zerosim_strategies::IterPlan`] is lowered to a
+    /// The strategy's [`zerosim_strategies::WorkloadPlan`] is lowered to a
     /// task graph **once**; each warm-up and measured iteration only
     /// re-stamps the jitter-seeded compute durations
     /// ([`zerosim_strategies::LoweredPlan::stamp`]) before execution.
@@ -276,9 +276,9 @@ impl TrainingSim {
     /// makespan (seconds) of the strategy-independent `plan_checkpoint`
     /// state-movement plan for `model` under `opts`, executed on an
     /// otherwise idle network. This is the `C` that drives Young/Daly
-    /// interval selection in [`crate::fleet`] — measured from the same
-    /// lowered DAG [`TrainingSim::run_resilient`] replays at every
-    /// checkpoint, not estimated from bandwidth math.
+    /// interval selection (see [`crate::young_daly_bracket`]) — measured
+    /// from the same lowered DAG [`TrainingSim::run_resilient`] replays at
+    /// every checkpoint, not estimated from bandwidth math.
     ///
     /// # Errors
     /// [`CoreError::InvalidConfig`] when the checkpoint plan does not

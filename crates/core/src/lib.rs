@@ -72,6 +72,6 @@ pub use timeline::{profile_tracks, to_chrome_trace, TrackProfile};
 // Re-export the pieces callers need alongside the engine.
 pub use zerosim_simkit::{EngineStats, FaultKind, FaultSchedule};
 pub use zerosim_strategies::{
-    Calibration, CheckpointSink, IterCtx, IterPlan, LoweredPlan, RecoveryPolicy, ServingStrategy,
-    Strategy, StrategyError, StrategyPlan, StrategyRegistry, TrainOptions,
+    Calibration, CheckpointSink, IterCtx, LoweredPlan, RecoveryPolicy, ServingStrategy, Strategy,
+    StrategyError, StrategyPlan, StrategyRegistry, TrainOptions, WorkloadPlan,
 };

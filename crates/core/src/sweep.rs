@@ -192,7 +192,8 @@ pub struct SweepRun {
     pub report: TrainingReport,
 }
 
-/// Fans [`SweepSpec`]s across a thread pool; see the [module docs](self).
+/// Fans [`SweepSpec`]s across a thread pool, returning results in input
+/// order whatever the worker count.
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     pool: ThreadPool,

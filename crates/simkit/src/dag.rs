@@ -72,13 +72,27 @@ pub struct TaskSpec {
 ///
 /// Built with [`DagBuilder`]; guaranteed acyclic by construction because
 /// dependencies may only reference previously created tasks.
+///
+/// # Layout
+///
+/// Edges are stored in compressed sparse row (CSR) form: the predecessors
+/// of task `t` are `pred_list[pred_start[t]..pred_start[t + 1]]`, in the
+/// order they were given to the builder (duplicates kept), and the
+/// successors likewise in `succ_start`/`succ_list`, in ascending task id.
+/// Predecessors are appended as tasks are pushed; successors are derived
+/// once by [`DagBuilder::build`]. Four flat vectors replace two small
+/// vectors per task, so a graph of a million tasks builds and frees in a
+/// handful of allocations.
 #[derive(Debug, Clone, Default)]
 pub struct Dag {
-    pub(crate) tasks: Vec<TaskSpec>,
-    /// Predecessors of each task.
-    pub(crate) preds: Vec<Vec<TaskId>>,
-    /// Successors of each task (derived).
-    pub(crate) succs: Vec<Vec<TaskId>>,
+    tasks: Vec<TaskSpec>,
+    /// CSR offsets into `pred_list`: one per task plus the end (empty only
+    /// for [`Dag::default`]).
+    pred_start: Vec<usize>,
+    pred_list: Vec<TaskId>,
+    /// CSR offsets into `succ_list`, as `pred_start`.
+    succ_start: Vec<usize>,
+    succ_list: Vec<TaskId>,
 }
 
 impl Dag {
@@ -100,14 +114,20 @@ impl Dag {
         &self.tasks[task.0]
     }
 
-    /// Predecessors of `task`.
+    /// Predecessors of `task`, in the order given to the builder.
+    ///
+    /// # Panics
+    /// Panics if `task` does not belong to this DAG.
     pub fn preds(&self, task: TaskId) -> &[TaskId] {
-        &self.preds[task.0]
+        &self.pred_list[self.pred_start[task.0]..self.pred_start[task.0 + 1]]
     }
 
-    /// Successors of `task`.
+    /// Successors of `task`, in ascending id.
+    ///
+    /// # Panics
+    /// Panics if `task` does not belong to this DAG.
     pub fn succs(&self, task: TaskId) -> &[TaskId] {
-        &self.succs[task.0]
+        &self.succ_list[self.succ_start[task.0]..self.succ_start[task.0 + 1]]
     }
 
     /// Iterator over all task ids in insertion (topological) order.
@@ -172,9 +192,22 @@ impl Dag {
 /// assert_eq!(dag.len(), 2);
 /// assert_eq!(dag.preds(bwd), &[fwd]);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DagBuilder {
+    /// The graph so far; its successor lists are derived in
+    /// [`DagBuilder::build`].
     dag: Dag,
+}
+
+impl Default for DagBuilder {
+    fn default() -> Self {
+        DagBuilder {
+            dag: Dag {
+                pred_start: vec![0],
+                ..Dag::default()
+            },
+        }
+    }
 }
 
 impl DagBuilder {
@@ -189,11 +222,8 @@ impl DagBuilder {
             assert!(d.0 < id.0, "dependency {d:?} does not precede task {id:?}");
         }
         self.dag.tasks.push(spec);
-        self.dag.preds.push(deps.to_vec());
-        self.dag.succs.push(Vec::new());
-        for d in deps {
-            self.dag.succs[d.0].push(id);
-        }
+        self.dag.pred_list.extend_from_slice(deps);
+        self.dag.pred_start.push(self.dag.pred_list.len());
         id
     }
 
@@ -320,9 +350,30 @@ impl DagBuilder {
         self.dag.tasks.is_empty()
     }
 
-    /// Finalizes the DAG.
+    /// Finalizes the DAG, deriving the successor lists with one counting
+    /// pass: a task's successors come out in ascending id because tasks
+    /// are visited in id order.
     pub fn build(self) -> Dag {
-        self.dag
+        let mut dag = self.dag;
+        let n = dag.tasks.len();
+        let mut start = vec![0usize; n + 1];
+        for p in &dag.pred_list {
+            start[p.0 + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut cursor = start.clone();
+        let mut list = vec![TaskId(0); dag.pred_list.len()];
+        for t in 0..n {
+            for p in &dag.pred_list[dag.pred_start[t]..dag.pred_start[t + 1]] {
+                list[cursor[p.0]] = TaskId(t);
+                cursor[p.0] += 1;
+            }
+        }
+        dag.succ_start = start;
+        dag.succ_list = list;
+        dag
     }
 }
 
@@ -341,6 +392,59 @@ mod tests {
         assert_eq!(dag.succs(a), &[c, d]);
         assert_eq!(dag.len(), 3);
         assert!(!dag.is_empty());
+    }
+
+    #[test]
+    fn empty_and_default_dags_have_no_tasks() {
+        let built = DagBuilder::new().build();
+        let default = Dag::default();
+        for dag in [&built, &default, &default.clone()] {
+            assert_eq!(dag.len(), 0);
+            assert!(dag.is_empty());
+            assert_eq!(dag.task_ids().count(), 0);
+            assert_eq!(dag.total_transfer_bytes(), 0.0);
+        }
+    }
+
+    use zerosim_testkit::gen::{usize_range, vec_of};
+    use zerosim_testkit::{prop, prop_assert_eq};
+
+    prop! {
+        /// On random DAGs, duplicate dependencies included, the CSR edge
+        /// lists match a naive per-task `Vec` reference in content and
+        /// order — predecessors as given, successors in ascending id with
+        /// one entry per dependency edge — and so does a clone.
+        #[cases(128)]
+        fn csr_edges_match_a_naive_reference(
+            // Per task, picks reduced modulo its id to an earlier task.
+            picks in vec_of(vec_of(usize_range(0, 999), 0, 5), 0, 40),
+        ) {
+            let mut b = DagBuilder::new();
+            let mut preds: Vec<Vec<TaskId>> = Vec::new();
+            let mut succs: Vec<Vec<TaskId>> = Vec::new();
+            for (i, task_picks) in picks.iter().enumerate() {
+                let deps: Vec<TaskId> = if i == 0 {
+                    Vec::new()
+                } else {
+                    task_picks.iter().map(|p| TaskId(p % i)).collect()
+                };
+                let id = b.marker(&deps);
+                prop_assert_eq!(id, TaskId(i));
+                for d in &deps {
+                    succs[d.0].push(id);
+                }
+                preds.push(deps);
+                succs.push(Vec::new());
+            }
+            let dag = b.build();
+            for dag in [&dag, &dag.clone()] {
+                prop_assert_eq!(dag.len(), picks.len());
+                for t in dag.task_ids() {
+                    prop_assert_eq!(dag.preds(t), preds[t.0].as_slice());
+                    prop_assert_eq!(dag.succs(t), succs[t.0].as_slice());
+                }
+            }
+        }
     }
 
     #[test]

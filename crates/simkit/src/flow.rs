@@ -34,20 +34,53 @@
 //! Active flows sit in one vector ordered by [`FlowId`] (ids are issued in
 //! increasing order, so a new flow is pushed at the end), each holding its
 //! route, remaining bytes, rate cap and converged rate. Per-link membership
-//! is a `Vec<FlowId>` sorted by id. The solver's dirty set and component
-//! closure are vectors with epoch marks, and progressive filling fixes a
-//! bottleneck's flows by walking that link's member list. Token-bucketed
-//! links are listed once at creation, so the event scan and
+//! is a list of flow *slots* in ascending flow id. The solver's dirty set
+//! and component closure are vectors with epoch marks, and progressive
+//! filling fixes a bottleneck's flows by walking that link's member list.
+//! Token-bucketed links are listed once at creation, so the event scan and
 //! [`FlowNet::advance`] visit only them, not every link.
+//!
+//! **Position index.** A slot is a small integer handed to a flow when it
+//! starts and taken back when it retires; `slot_pos[slot]` is the flow's
+//! current position in the flow vector. The component closure and the
+//! bottleneck walk turn a link member into a position with one load
+//! instead of a binary search. A removal shifts the flows behind it, so it
+//! rewrites their index entries in the same pass that compacts the vector.
+//! Freed slots are reused, so the index is as long as the most flows ever
+//! live at once, not as long as the ids ever issued. The public
+//! [`FlowId`]-keyed reads ([`FlowNet::flow_rate`] and friends) still search
+//! the id-ordered vector.
+//!
+//! **Cached shares.** Each progressive-filling round picks the component
+//! link with the smallest fair share, `(residual / unfixed).max(0.0)`.
+//! Instead of dividing for every link in every round, the solver keeps
+//! each link's share and recomputes it, with exactly that expression,
+//! whenever fixing a flow changes the link's residual or unfixed count.
+//! The scan then compares the very values it would have computed: the
+//! same operands give the same bits, so the bottleneck choice, every rate
+//! and every demand are unchanged.
+//!
+//! **Batched transfers.** [`FlowNet::advance`] collects the tick's
+//! `(link, bytes)` transfers into one reusable buffer — ascending flow id,
+//! then route order — and hands it to [`FlowObserver::on_interval`] in one
+//! call. The trait's default forwards each entry to
+//! [`FlowObserver::on_transfer`] in that order, so an observer written
+//! against `on_transfer` alone gets one call per transfer;
+//! [`BandwidthRecorder`](crate::record::BandwidthRecorder) overrides it to
+//! work out the tick's bucket geometry once.
 //!
 //! Three ordering invariants fix the floating-point operation sequence, and
 //! with it every rate, recorder sample and report digest:
 //!
 //! 1. flows are visited in ascending id, and a flow's links in route order
-//!    (the order of [`FlowObserver::on_transfer`] callbacks and of residual
+//!    (the order of the transfers handed to the observer and of residual
 //!    updates);
-//! 2. component links are visited in ascending index (bottleneck ties go to
-//!    the lowest index, as in the reference solver);
+//! 2. bottleneck ties go to the lowest link index, and ties between
+//!    capped flows to the lowest id, as in the reference solver's
+//!    ascending scans (the component itself is kept in discovery order:
+//!    nothing else in a solve depends on it, and shares and caps are
+//!    never NaN, so the explicit tie-break picks what the ordered scan
+//!    would);
 //! 3. a bottleneck's flows are fixed in ascending id.
 //!
 //! # Quiet buckets
@@ -116,6 +149,9 @@ struct LinkState {
 #[derive(Debug, Clone)]
 struct FlowState {
     id: FlowId,
+    /// Stable handle into [`FlowNet`]'s position index; the solver's
+    /// per-link member lists name flows by slot.
+    slot: usize,
     route: Vec<LinkId>,
     remaining: f64,
     /// Per-flow rate ceiling (bytes/second), e.g. from the SerDes-pair
@@ -131,11 +167,25 @@ struct FlowState {
 /// Implementations aggregate the callbacks into whatever statistic they
 /// need (time-bucketed utilization, totals, ...). `start` is the simulated
 /// time at which the `dt_secs`-long interval began. Within one
-/// [`FlowNet::advance`], callbacks arrive in ascending flow id, and for each
+/// [`FlowNet::advance`], transfers arrive in ascending flow id, and for each
 /// flow in route order.
 pub trait FlowObserver {
     /// Called once per (link, interval) with the bytes moved on that link.
     fn on_transfer(&mut self, link: LinkId, start: SimTime, dt_secs: f64, bytes: f64);
+
+    /// Called once per [`FlowNet::advance`] that moved bytes, with every
+    /// `(link, bytes)` transfer of the interval: ascending flow id, then
+    /// route order.
+    ///
+    /// The default forwards each entry to [`FlowObserver::on_transfer`] in
+    /// that order, so an observer that implements only `on_transfer` gets
+    /// one call per transfer. Override it to do the per-interval work
+    /// (bucket geometry, say) once per interval instead of once per entry.
+    fn on_interval(&mut self, start: SimTime, dt_secs: f64, transfers: &[(LinkId, f64)]) {
+        for &(link, bytes) in transfers {
+            self.on_transfer(link, start, dt_secs, bytes);
+        }
+    }
 }
 
 /// A no-op observer for callers that only need flow completion times.
@@ -144,6 +194,8 @@ pub struct NullObserver;
 
 impl FlowObserver for NullObserver {
     fn on_transfer(&mut self, _: LinkId, _: SimTime, _: f64, _: f64) {}
+
+    fn on_interval(&mut self, _: SimTime, _: f64, _: &[(LinkId, f64)]) {}
 }
 
 /// Completion epsilon: flows with fewer residual bytes are finished.
@@ -169,16 +221,19 @@ struct Solver {
     /// Converged per-link aggregate demand (bytes/second), valid for
     /// `epoch`.
     demand: Vec<f64>,
-    /// Which flows cross each link, ascending id. Connectivity only: a
-    /// route that visits a link twice appears once here; multiplicity is
-    /// recounted from raw routes during a solve (matching the reference
-    /// solver's arithmetic).
-    on_link: Vec<Vec<FlowId>>,
+    /// Slots of the flows crossing each link, in ascending flow id.
+    /// Connectivity only: a route that visits a link twice appears once
+    /// here; multiplicity is recounted from raw routes during a solve
+    /// (matching the reference solver's arithmetic).
+    on_link: Vec<Vec<usize>>,
     /// Scratch: residual capacity per link. Only the entries belonging to
     /// the current dirty component are (re)initialized each solve.
     residual: Vec<f64>,
     /// Scratch: unfixed route-entry count per link (counts duplicates).
     unfixed_on_link: Vec<usize>,
+    /// Scratch: [`fair_share`] of each component link's current
+    /// `residual` and `unfixed_on_link`, refreshed whenever either moves.
+    share: Vec<f64>,
     /// Scratch, per link: tagged once the link joins the component.
     link_mark: Vec<u64>,
     /// Scratch, per flow position: tagged once the flow joins the
@@ -186,11 +241,12 @@ struct Solver {
     flow_mark: Vec<u64>,
     /// Scratch, per flow position: tagged once the flow's rate is fixed.
     fixed_mark: Vec<u64>,
-    /// Scratch: the component's links, ascending index.
+    /// Scratch: the component's links, in discovery order.
     comp_links: Vec<usize>,
-    /// Scratch: the component's flow positions, ascending (= ascending id).
+    /// Scratch: the component's flow positions, in discovery order.
     comp_flows: Vec<usize>,
-    /// Scratch: the component's flow positions with a finite cap, ascending.
+    /// Scratch: the component's flow positions with a finite cap, in
+    /// discovery order.
     capped: Vec<usize>,
     /// Monotonic solve counter stamping the converged state.
     epoch: u64,
@@ -208,20 +264,30 @@ impl Solver {
     }
 }
 
-/// Removes `id` from a sorted membership list, if present.
-fn unlink(members: &mut Vec<FlowId>, id: FlowId) {
-    if let Ok(i) = members.binary_search(&id) {
+/// Removes `slot` from a membership list, if present, keeping the rest in
+/// order.
+fn unlink(members: &mut Vec<usize>, slot: usize) {
+    if let Some(i) = members.iter().position(|&m| m == slot) {
         members.remove(i);
     }
 }
 
-/// Fixes `flow` at `rate` and charges it to every route entry (a link the
-/// route visits twice is charged twice).
-fn fix_flow(residual: &mut [f64], unfixed_on_link: &mut [usize], flow: &FlowState, rate: f64) {
+/// A link's fair share: its residual capacity split over its unfixed
+/// route entries. The one expression the reference solver divides by.
+fn fair_share(residual: f64, unfixed: usize) -> f64 {
+    (residual / unfixed as f64).max(0.0)
+}
+
+/// Fixes `flow` at `rate`, charges it to every route entry (a link the
+/// route visits twice is charged twice) and refreshes each charged link's
+/// cached [`fair_share`].
+fn fix_flow(s: &mut Solver, flow: &FlowState, rate: f64) {
     flow.rate.set(rate);
     for l in &flow.route {
-        residual[l.0] = (residual[l.0] - rate).max(0.0);
-        unfixed_on_link[l.0] -= 1;
+        let li = l.0;
+        s.residual[li] = (s.residual[li] - rate).max(0.0);
+        s.unfixed_on_link[li] -= 1;
+        s.share[li] = fair_share(s.residual[li], s.unfixed_on_link[li]);
     }
 }
 
@@ -246,6 +312,15 @@ pub struct FlowNet {
     bucketed: Vec<usize>,
     /// Active flows, ascending id.
     flows: Vec<FlowState>,
+    /// Position index: `slot_pos[f.slot]` is the position of flow `f` in
+    /// `flows`. Slots are recycled through `free_slots`, so the index is as
+    /// long as the most flows ever live at once, not the ids ever issued.
+    slot_pos: Vec<usize>,
+    /// Slots of retired flows, ready for reuse.
+    free_slots: Vec<usize>,
+    /// Reusable per-tick `(link, bytes)` buffer handed to
+    /// [`FlowObserver::on_interval`].
+    transfers: Vec<(LinkId, f64)>,
     next_flow: u64,
     solver: RefCell<Solver>,
     /// Run the reference full solver next to the incremental one and assert
@@ -262,6 +337,9 @@ impl Default for FlowNet {
             links: Vec::new(),
             bucketed: Vec::new(),
             flows: Vec::new(),
+            slot_pos: Vec::new(),
+            free_slots: Vec::new(),
+            transfers: Vec::new(),
             next_flow: 0,
             solver: RefCell::new(Solver::default()),
             shadow: cfg!(debug_assertions),
@@ -310,6 +388,7 @@ impl FlowNet {
         s.on_link.push(Vec::new());
         s.residual.push(0.0);
         s.unfixed_on_link.push(0);
+        s.share.push(0.0);
         s.link_mark.push(0);
         id
     }
@@ -430,18 +509,25 @@ impl FlowNet {
         }
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.slot_pos.push(0);
+            self.slot_pos.len() - 1
+        });
+        self.slot_pos[slot] = self.flows.len();
         let s = self.solver.get_mut();
         for l in route {
-            // `id` is the largest live id, so pushing keeps the list sorted
-            // and a repeated route entry finds itself at the end.
+            // `id` is the largest live id, so pushing keeps the list in id
+            // order; a live slot names one flow, so a repeated route entry
+            // finds itself at the end.
             let members = &mut s.on_link[l.0];
-            if members.last() != Some(&id) {
-                members.push(id);
+            if members.last() != Some(&slot) {
+                members.push(slot);
             }
             s.mark_dirty(l.0);
         }
         self.flows.push(FlowState {
             id,
+            slot,
             route: route.to_vec(),
             remaining: bytes,
             cap,
@@ -455,6 +541,14 @@ impl FlowNet {
         self.flows.binary_search_by_key(&flow, |f| f.id).ok()
     }
 
+    /// Refreshes the position index for every flow from position `from` on,
+    /// after a removal shifted them.
+    fn reindex_from(&mut self, from: usize) {
+        for (pos, f) in self.flows.iter().enumerate().skip(from) {
+            self.slot_pos[f.slot] = pos;
+        }
+    }
+
     /// Removes an active flow without completing it (the bytes already moved
     /// stay moved; the remainder is abandoned). Returns `true` if the flow
     /// was active. Used when a node loss aborts a run mid-flight.
@@ -465,9 +559,11 @@ impl FlowNet {
         let f = self.flows.remove(pos);
         let s = self.solver.get_mut();
         for l in &f.route {
-            unlink(&mut s.on_link[l.0], flow);
+            unlink(&mut s.on_link[l.0], f.slot);
             s.mark_dirty(l.0);
         }
+        self.free_slots.push(f.slot);
+        self.reindex_from(pos);
         true
     }
     /// Rescales `link` to `factor` times its *nominal* (creation-time)
@@ -613,8 +709,8 @@ impl FlowNet {
         while next < s.comp_links.len() {
             let li = s.comp_links[next];
             next += 1;
-            for &id in &s.on_link[li] {
-                let pos = self.position(id).expect("link members are active flows");
+            for &slot in &s.on_link[li] {
+                let pos = self.slot_pos[slot];
                 if s.flow_mark[pos] == tag {
                     continue;
                 }
@@ -628,8 +724,6 @@ impl FlowNet {
                 }
             }
         }
-        s.comp_links.sort_unstable();
-        s.comp_flows.sort_unstable();
 
         // --- Restricted progressive filling. ----------------------------
         // Residuals and unfixed counts live in persistent scratch vectors;
@@ -650,28 +744,33 @@ impl FlowNet {
                 s.unfixed_on_link[l.0] += 1;
             }
         }
+        for &li in &s.comp_links {
+            s.share[li] = fair_share(s.residual[li], s.unfixed_on_link[li]);
+        }
 
         let mut remaining_unfixed = s.comp_flows.len();
         while remaining_unfixed > 0 {
             // Bottleneck link: smallest fair share among component links
-            // with unfixed flows (ascending index, strict `<`, so ties go
-            // to the lowest index — as in the reference solver).
+            // with unfixed flows, ties to the lowest index — the link the
+            // reference solver's ascending strict-`<` scan picks. Shares
+            // are cached: `fix_flow` refreshes them with the same
+            // expression the reference solver evaluates here.
             let mut link_best: Option<(f64, usize)> = None;
             for &li in &s.comp_links {
                 if s.unfixed_on_link[li] > 0 {
-                    let share = (s.residual[li] / s.unfixed_on_link[li] as f64).max(0.0);
-                    if link_best.is_none_or(|(b, _)| share < b) {
+                    let share = s.share[li];
+                    if link_best.is_none_or(|(b, bl)| share < b || (share == b && li < bl)) {
                         link_best = Some((share, li));
                     }
                 }
             }
             // Capped flow that would saturate before the link share
-            // (ascending flow id, strict `<`).
+            // (smallest cap, ties to the lowest id).
             let mut cap_best: Option<(f64, usize)> = None;
             for &pos in &s.capped {
                 if s.fixed_mark[pos] != tag {
                     let cap = self.flows[pos].cap;
-                    if cap_best.is_none_or(|(c, _)| cap < c) {
+                    if cap_best.is_none_or(|(c, cp)| cap < c || (cap == c && pos < cp)) {
                         cap_best = Some((cap, pos));
                     }
                 }
@@ -688,12 +787,7 @@ impl FlowNet {
             if let Some((cap, pos)) = cap_winner {
                 s.fixed_mark[pos] = tag;
                 remaining_unfixed -= 1;
-                fix_flow(
-                    &mut s.residual,
-                    &mut s.unfixed_on_link,
-                    &self.flows[pos],
-                    cap,
-                );
+                fix_flow(s, &self.flows[pos], cap);
                 continue;
             }
 
@@ -702,22 +796,18 @@ impl FlowNet {
             };
 
             // Fix every unfixed flow crossing the bottleneck at `share`,
-            // walking its member list in ascending id.
+            // walking its member list in ascending id. `fix_flow` needs the
+            // whole solver, so walk by index rather than borrowing the list.
             let mut fixed_any = false;
-            for &id in &s.on_link[bottleneck] {
-                let pos = self.position(id).expect("link members are active flows");
+            for k in 0..s.on_link[bottleneck].len() {
+                let pos = self.slot_pos[s.on_link[bottleneck][k]];
                 if s.fixed_mark[pos] == tag {
                     continue;
                 }
                 fixed_any = true;
                 s.fixed_mark[pos] = tag;
                 remaining_unfixed -= 1;
-                fix_flow(
-                    &mut s.residual,
-                    &mut s.unfixed_on_link,
-                    &self.flows[pos],
-                    share,
-                );
+                fix_flow(s, &self.flows[pos], share);
             }
             debug_assert!(fixed_any, "progressive filling made no progress");
             if !fixed_any {
@@ -930,35 +1020,42 @@ impl FlowNet {
         self.ensure_rates();
 
         let mut completed = Vec::new();
-        for f in &mut self.flows {
+        let mut first_done = None;
+        self.transfers.clear();
+        for (pos, f) in self.flows.iter_mut().enumerate() {
             let rate = f.rate.get();
             if rate <= 0.0 {
                 continue;
             }
             let bytes = (rate * dt_secs).min(f.remaining);
             f.remaining -= bytes;
-            for l in &f.route {
-                obs.on_transfer(*l, now, dt_secs, bytes);
-            }
+            self.transfers.extend(f.route.iter().map(|&l| (l, bytes)));
             if f.remaining <= EPS_BYTES {
                 completed.push(f.id);
+                first_done.get_or_insert(pos);
             }
+        }
+        if !self.transfers.is_empty() {
+            obs.on_interval(now, dt_secs, &self.transfers);
         }
         // Buckets drain/refill with the pre-advance demand.
         self.update_buckets(|b, demand| b.advance(dt_secs, demand));
-        if !completed.is_empty() {
+        if let Some(first_done) = first_done {
             let s = self.solver.get_mut();
+            let free_slots = &mut self.free_slots;
             let mut done = completed.iter().peekable();
             self.flows.retain(|f| {
                 if done.next_if_eq(&&f.id).is_none() {
                     return true;
                 }
                 for l in &f.route {
-                    unlink(&mut s.on_link[l.0], f.id);
+                    unlink(&mut s.on_link[l.0], f.slot);
                     s.mark_dirty(l.0);
                 }
+                free_slots.push(f.slot);
                 false
             });
+            self.reindex_from(first_done);
         }
         completed
     }
@@ -1528,6 +1625,82 @@ mod tests {
         assert_eq!(net.solver_stats().solves, solves + 1);
     }
 
+    // --- Position index. ------------------------------------------------
+
+    impl FlowNet {
+        /// Number of slots in the position index, live or free.
+        fn position_index_len(&self) -> usize {
+            self.slot_pos.len()
+        }
+
+        /// Checks the position index and the per-link member lists against
+        /// the flow vector: every live flow's slot maps to its position,
+        /// free slots are distinct and unused, and each link lists exactly
+        /// the slots of the flows crossing it, in ascending flow id.
+        fn check_position_index(&self) -> Result<(), String> {
+            if self.slot_pos.len() != self.flows.len() + self.free_slots.len() {
+                return Err(format!(
+                    "{} slots for {} live and {} free flows",
+                    self.slot_pos.len(),
+                    self.flows.len(),
+                    self.free_slots.len()
+                ));
+            }
+            let mut taken = vec![false; self.slot_pos.len()];
+            for (pos, f) in self.flows.iter().enumerate() {
+                if self.slot_pos[f.slot] != pos {
+                    return Err(format!("flow {:?} at {pos} indexed elsewhere", f.id));
+                }
+                taken[f.slot] = true;
+            }
+            for &slot in &self.free_slots {
+                if std::mem::replace(&mut taken[slot], true) {
+                    return Err(format!("free slot {slot} is live or listed twice"));
+                }
+            }
+            let s = self.solver.borrow();
+            for (li, members) in s.on_link.iter().enumerate() {
+                let expected: Vec<usize> = self
+                    .flows
+                    .iter()
+                    .filter(|f| f.route.iter().any(|l| l.0 == li))
+                    .map(|f| f.slot)
+                    .collect();
+                if *members != expected {
+                    return Err(format!(
+                        "link {li} lists {members:?}, expected {expected:?}"
+                    ));
+                }
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn position_index_stays_bounded_by_live_flows() {
+        let mut net = FlowNet::new();
+        let a = net.add_link("a", 10.0);
+        let b = net.add_link("b", 10.0);
+        // One flow at a time, each retired by completion: a single slot
+        // serves every id ever issued.
+        for _ in 0..2_000 {
+            net.start_flow(&[a, b], 5.0).unwrap();
+            net.drain(&mut NullObserver).unwrap();
+        }
+        assert_eq!(net.position_index_len(), 1);
+        // Three at a time, one cancelled mid-flight and two completing.
+        for i in 0..2_000 {
+            let f0 = net.start_flow(&[a], 5.0).unwrap();
+            let f1 = net.start_flow(&[b, a], 10.0).unwrap();
+            let f2 = net.start_flow(&[b], 15.0).unwrap();
+            assert!(net.cancel_flow([f0, f1, f2][i % 3]));
+            net.check_position_index().unwrap();
+            net.drain(&mut NullObserver).unwrap();
+        }
+        assert_eq!(net.position_index_len(), 3);
+        net.check_position_index().unwrap();
+    }
+
     // --- Ordering invariants of the dense layout. ----------------------
 
     /// Records every transfer callback in arrival order.
@@ -1547,8 +1720,10 @@ mod tests {
         /// Over random flow sets — rate caps, duplicate route entries,
         /// cancellations, link rescales and token-bucketed links — transfer
         /// callbacks arrive in ascending flow id and then route order,
-        /// completions come back in ascending id, and every converged rate
-        /// and demand equals the reference full solve bit for bit.
+        /// completions come back in ascending id, the position index and
+        /// per-link member lists track every start, completion and
+        /// cancellation, and every converged rate and demand equals the
+        /// reference full solve bit for bit.
         #[cases(64)]
         fn dense_layout_keeps_its_ordering_invariants(
             // Few distinct capacities, so equal fair shares — where only
@@ -1593,6 +1768,7 @@ mod tests {
                         if !active.is_empty() {
                             let (victim, _) = active.remove(sel % active.len());
                             prop_assert!(net.cancel_flow(victim));
+                            prop_assert_eq!(net.flow_rate(victim), None);
                         }
                     }
                     4 => {
@@ -1629,6 +1805,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(net.flow_count(), active.len());
+                net.check_position_index()?;
                 net.link_demand(links[0]); // converge before the oracle
                 let (ref_rates, ref_demand) = net.reference_solve();
                 for ((id, _), reference) in active.iter().zip(&ref_rates) {

@@ -146,6 +146,26 @@ impl EngineStats {
 
 /// Accumulates per-link bytes into fixed-width time buckets.
 ///
+/// # Layout
+///
+/// `bytes[link][bucket]` holds the bytes a link moved in each bucket of
+/// recorder-local time (simulated time minus the origin). A transfer that
+/// falls inside one bucket is added to it whole; one that spans several is
+/// spread over them in proportion to each bucket's overlap with the
+/// interval, `bytes * overlap_ns / total_ns`.
+///
+/// [`FlowNet::advance`](crate::flow::FlowNet::advance) reports a whole
+/// tick at once through [`FlowObserver::on_interval`], and every transfer
+/// of a tick shares its interval. The recorder therefore works out the
+/// interval's bucket geometry — origin shift, first and last bucket, the
+/// per-bucket overlaps — once per tick and then only adds per transfer.
+/// Each bucket receives the same floating-point operations, in the same
+/// order, as when the transfers arrive one by one through
+/// [`FlowObserver::on_transfer`], which is the one-entry case of the same
+/// path. A tick that straddles the origin clips to one window, `[0, kept)`
+/// in local time, for all its transfers; only each transfer's bytes are
+/// scaled, to `bytes * kept / dt`.
+///
 /// ```
 /// use zerosim_simkit::flow::{FlowNet, FlowObserver};
 /// use zerosim_simkit::record::BandwidthRecorder;
@@ -168,6 +188,19 @@ pub struct BandwidthRecorder {
     bytes: Vec<Vec<f64>>,
     horizon: SimTime,
     origin: SimTime,
+    /// Scratch: overlap in nanoseconds of the current interval with each of
+    /// its buckets, first to last (filled only for a multi-bucket
+    /// interval).
+    overlap: Vec<f64>,
+}
+
+/// Bucket geometry of one recorder-local interval.
+struct Window {
+    end: SimTime,
+    first: usize,
+    last: usize,
+    /// Interval length in nanoseconds; the divisor of a spread transfer.
+    total_ns: f64,
 }
 
 impl BandwidthRecorder {
@@ -191,6 +224,7 @@ impl BandwidthRecorder {
             bytes: Vec::new(),
             horizon: SimTime::ZERO,
             origin,
+            overlap: Vec::new(),
         }
     }
 
@@ -253,11 +287,62 @@ impl BandwidthRecorder {
             .div_ceil(self.bucket.as_nanos().max(1))) as usize
     }
 
+    /// The bucket geometry of recorder-local `[start, start + dt_secs)`;
+    /// fills `overlap` when the interval spans more than one bucket.
     // Bucket indices are bounded by horizon / bucket width, far below
     // usize::MAX on any supported target.
     #[allow(clippy::cast_possible_truncation)]
-    fn add(&mut self, link: LinkId, start: SimTime, dt_secs: f64, bytes: f64) {
-        if bytes <= 0.0 || dt_secs <= 0.0 {
+    fn window(&mut self, start: SimTime, dt_secs: f64) -> Window {
+        let end = start + SimTime::from_secs(dt_secs);
+        let width_ns = self.bucket.as_nanos();
+        let first = start.as_nanos() / width_ns;
+        let last = (end.as_nanos().saturating_sub(1)) / width_ns;
+        if first != last {
+            self.overlap.clear();
+            for b in first..=last {
+                let b_start = b * width_ns;
+                let b_end = b_start + width_ns;
+                let overlap = (end.as_nanos().min(b_end) - start.as_nanos().max(b_start)) as f64;
+                self.overlap.push(overlap);
+            }
+        }
+        Window {
+            end,
+            first: first as usize,
+            last: last as usize,
+            total_ns: (end.as_nanos() - start.as_nanos()) as f64,
+        }
+    }
+
+    /// Adds `bytes` on `link` to the buckets of `w`, spreading them by
+    /// overlap when `w` spans several.
+    fn deposit(&mut self, w: &Window, link: LinkId, bytes: f64) {
+        if self.bytes.len() <= link.index() {
+            self.bytes.resize_with(link.index() + 1, Vec::new);
+        }
+        let buf = &mut self.bytes[link.index()];
+        if buf.len() <= w.last {
+            buf.resize(w.last + 1, 0.0);
+        }
+        if w.first == w.last {
+            buf[w.first] += bytes;
+            return;
+        }
+        for (b, overlap) in buf[w.first..=w.last].iter_mut().zip(&self.overlap) {
+            *b += bytes * overlap / w.total_ns;
+        }
+    }
+}
+
+impl FlowObserver for BandwidthRecorder {
+    fn on_transfer(&mut self, link: LinkId, start: SimTime, dt_secs: f64, bytes: f64) {
+        self.on_interval(start, dt_secs, &[(link, bytes)]);
+    }
+
+    /// Works out the interval's bucket geometry once, then adds each
+    /// transfer; see the type's layout notes.
+    fn on_interval(&mut self, start: SimTime, dt_secs: f64, transfers: &[(LinkId, f64)]) {
+        if dt_secs <= 0.0 {
             return;
         }
         // Shift into recorder-local time; clip anything before the origin.
@@ -265,42 +350,24 @@ impl BandwidthRecorder {
         if raw_end <= self.origin {
             return;
         }
-        let (start, bytes, dt_secs) = if start < self.origin {
-            let kept = (raw_end - self.origin).as_secs();
-            (SimTime::ZERO, bytes * kept / dt_secs, kept)
+        let (local_start, kept) = if start < self.origin {
+            (SimTime::ZERO, Some((raw_end - self.origin).as_secs()))
         } else {
-            (start - self.origin, bytes, dt_secs)
+            (start - self.origin, None)
         };
-        let end = start + SimTime::from_secs(dt_secs);
-        self.horizon = self.horizon.max(end);
-        let width_ns = self.bucket.as_nanos();
-        let first = start.as_nanos() / width_ns;
-        let last = (end.as_nanos().saturating_sub(1)) / width_ns;
-        if self.bytes.len() <= link.index() {
-            self.bytes.resize_with(link.index() + 1, Vec::new);
+        let w = self.window(local_start, kept.unwrap_or(dt_secs));
+        let mut recorded = false;
+        for &(link, bytes) in transfers {
+            if bytes <= 0.0 {
+                continue;
+            }
+            recorded = true;
+            let bytes = kept.map_or(bytes, |kept| bytes * kept / dt_secs);
+            self.deposit(&w, link, bytes);
         }
-        let buf = &mut self.bytes[link.index()];
-        if buf.len() <= last as usize {
-            buf.resize(last as usize + 1, 0.0);
+        if recorded {
+            self.horizon = self.horizon.max(w.end);
         }
-        if first == last {
-            buf[first as usize] += bytes;
-            return;
-        }
-        // Spread proportionally over the covered buckets.
-        let total_ns = (end.as_nanos() - start.as_nanos()) as f64;
-        for b in first..=last {
-            let b_start = b * width_ns;
-            let b_end = b_start + width_ns;
-            let overlap = (end.as_nanos().min(b_end) - start.as_nanos().max(b_start)) as f64;
-            buf[b as usize] += bytes * overlap / total_ns;
-        }
-    }
-}
-
-impl FlowObserver for BandwidthRecorder {
-    fn on_transfer(&mut self, link: LinkId, start: SimTime, dt_secs: f64, bytes: f64) {
-        self.add(link, start, dt_secs, bytes);
     }
 }
 
@@ -425,7 +492,7 @@ mod tests {
     fn recorder_spreads_across_bucket_boundaries() {
         let mut rec = BandwidthRecorder::new(SimTime::from_secs(1.0));
         // 3-second transfer of 300 bytes starting at t=0.5.
-        rec.add(LinkId(0), SimTime::from_secs(0.5), 3.0, 300.0);
+        rec.on_transfer(LinkId(0), SimTime::from_secs(0.5), 3.0, 300.0);
         let s = rec.series(LinkId(0));
         assert_eq!(s.len(), 4);
         assert!((s[0] - 50.0).abs() < 1e-6);
@@ -439,13 +506,13 @@ mod tests {
         let mut rec =
             BandwidthRecorder::with_origin(SimTime::from_secs(1.0), SimTime::from_secs(2.0));
         // Fully before the origin: dropped.
-        rec.add(LinkId(0), SimTime::ZERO, 1.0, 100.0);
+        rec.on_transfer(LinkId(0), SimTime::ZERO, 1.0, 100.0);
         assert_eq!(rec.total_bytes(LinkId(0)), 0.0);
         // Straddling the origin: only the post-origin share counts.
-        rec.add(LinkId(0), SimTime::from_secs(1.0), 2.0, 200.0);
+        rec.on_transfer(LinkId(0), SimTime::from_secs(1.0), 2.0, 200.0);
         assert!((rec.total_bytes(LinkId(0)) - 100.0).abs() < 1e-6);
         // After the origin: shifted to local time.
-        rec.add(LinkId(0), SimTime::from_secs(3.0), 1.0, 50.0);
+        rec.on_transfer(LinkId(0), SimTime::from_secs(3.0), 1.0, 50.0);
         let s = rec.series(LinkId(0));
         assert_eq!(s.len(), 2);
         assert!((s[1] - 50.0).abs() < 1e-6);
@@ -454,8 +521,8 @@ mod tests {
     #[test]
     fn aggregate_series_sums_links() {
         let mut rec = BandwidthRecorder::new(SimTime::from_secs(1.0));
-        rec.add(LinkId(0), SimTime::ZERO, 1.0, 10.0);
-        rec.add(LinkId(1), SimTime::ZERO, 1.0, 20.0);
+        rec.on_transfer(LinkId(0), SimTime::ZERO, 1.0, 10.0);
+        rec.on_transfer(LinkId(1), SimTime::ZERO, 1.0, 20.0);
         let agg = rec.aggregate_series(&[LinkId(0), LinkId(1)]);
         assert_eq!(agg, vec![30.0]);
         let stats = rec.stats(&[LinkId(0), LinkId(1)]);
@@ -465,8 +532,160 @@ mod tests {
     #[test]
     fn unknown_link_series_is_idle() {
         let mut rec = BandwidthRecorder::new(SimTime::from_secs(1.0));
-        rec.add(LinkId(0), SimTime::ZERO, 2.0, 10.0);
+        rec.on_transfer(LinkId(0), SimTime::ZERO, 2.0, 10.0);
         assert_eq!(rec.series(LinkId(9)), vec![0.0, 0.0]);
+    }
+
+    /// Records every `on_transfer` call; implements nothing else, so it
+    /// sees [`FlowObserver::on_interval`]'s default forwarding.
+    #[derive(Default)]
+    struct Calls(Vec<(LinkId, SimTime, f64, f64)>);
+
+    impl FlowObserver for Calls {
+        fn on_transfer(&mut self, link: LinkId, start: SimTime, dt_secs: f64, bytes: f64) {
+            self.0.push((link, start, dt_secs, bytes));
+        }
+    }
+
+    /// The recorder's arithmetic written out per transfer, independently
+    /// of `window`/`deposit`: the oracle the batched and per-transfer
+    /// paths must both match bit for bit.
+    struct Reference {
+        width: SimTime,
+        origin: SimTime,
+        bytes: Vec<Vec<f64>>,
+        horizon: SimTime,
+    }
+
+    impl Reference {
+        #[allow(clippy::cast_possible_truncation)]
+        fn add(&mut self, link: usize, start: SimTime, dt: f64, bytes: f64) {
+            if bytes <= 0.0 || dt <= 0.0 {
+                return;
+            }
+            let raw_end = start + SimTime::from_secs(dt);
+            if raw_end <= self.origin {
+                return;
+            }
+            let (start, bytes, dt) = if start < self.origin {
+                let kept = (raw_end - self.origin).as_secs();
+                (SimTime::ZERO, bytes * kept / dt, kept)
+            } else {
+                (start - self.origin, bytes, dt)
+            };
+            let (start, end) = (
+                start.as_nanos(),
+                (start + SimTime::from_secs(dt)).as_nanos(),
+            );
+            self.horizon = self.horizon.max(SimTime::from_nanos(end));
+            let w = self.width.as_nanos();
+            let (first, last) = (start / w, end.saturating_sub(1) / w);
+            if self.bytes.len() <= link {
+                self.bytes.resize_with(link + 1, Vec::new);
+            }
+            let buf = &mut self.bytes[link];
+            if buf.len() <= last as usize {
+                buf.resize(last as usize + 1, 0.0);
+            }
+            if first == last {
+                buf[first as usize] += bytes;
+                return;
+            }
+            for b in first..=last {
+                let overlap = end.min((b + 1) * w) - start.max(b * w);
+                buf[b as usize] += bytes * overlap as f64 / (end - start) as f64;
+            }
+        }
+
+        #[allow(clippy::cast_possible_truncation)]
+        fn series_bits(&self, link: usize) -> Vec<u64> {
+            let buf = self.bytes.get(link).map_or(&[][..], Vec::as_slice);
+            (0..self.horizon.as_nanos().div_ceil(self.width.as_nanos()))
+                .map(|i| buf.get(i as usize).copied().unwrap_or(0.0))
+                .map(|v| (v / self.width.as_secs()).to_bits())
+                .collect()
+        }
+    }
+
+    use zerosim_testkit::gen::{f64_range, map, one_of, tuple2, tuple3, u64_range, vec_of};
+    use zerosim_testkit::{prop, prop_assert_eq};
+
+    prop! {
+        /// Feeding a tick's transfers through `on_interval` once records
+        /// exactly what feeding them one by one through `on_transfer`
+        /// does, and both match the written-out reference arithmetic —
+        /// series, totals and horizon bit for bit — for ticks
+        /// inside one bucket, spanning several, straddling the origin,
+        /// lying wholly before it, and carrying zero-byte entries. An
+        /// observer that implements only `on_transfer` receives the
+        /// entries in order.
+        #[cases(128)]
+        fn batched_recording_equals_per_transfer_recording(
+            width_ns in one_of(&[1_000_000u64, 3_333_333]),
+            origin_ns in one_of(&[0u64, 10_000_000, 12_345_678]),
+            ticks in vec_of(
+                tuple3(
+                    u64_range(0, 40_000_000),
+                    // Up to ~12 ms: from well inside one bucket to several.
+                    map(f64_range(0.0, 1.0), |x: f64| x * x * 12e-3),
+                    vec_of(
+                        tuple2(
+                            u64_range(0, 4),
+                            // One entry in four moves no bytes.
+                            map(tuple2(u64_range(0, 3), f64_range(1.0, 1e6)), |(k, b)| {
+                                if k == 0 { 0.0 } else { b }
+                            }),
+                        ),
+                        0,
+                        8,
+                    ),
+                ),
+                1,
+                24,
+            ),
+        ) {
+            let width = SimTime::from_nanos(width_ns);
+            let origin = SimTime::from_nanos(origin_ns);
+            let mut batched = BandwidthRecorder::with_origin(width, origin);
+            let mut single = BandwidthRecorder::with_origin(width, origin);
+            let mut reference = Reference {
+                width,
+                origin,
+                bytes: Vec::new(),
+                horizon: SimTime::ZERO,
+            };
+            for (start_ns, dt_secs, entries) in &ticks {
+                let start = SimTime::from_nanos(*start_ns);
+                #[allow(clippy::cast_possible_truncation)] // link < 4
+                let transfers: Vec<(LinkId, f64)> =
+                    entries.iter().map(|&(l, b)| (LinkId(l as usize), b)).collect();
+                batched.on_interval(start, *dt_secs, &transfers);
+                for &(link, bytes) in &transfers {
+                    single.on_transfer(link, start, *dt_secs, bytes);
+                    reference.add(link.index(), start, *dt_secs, bytes);
+                }
+                let mut calls = Calls::default();
+                calls.on_interval(start, *dt_secs, &transfers);
+                let expected: Vec<(LinkId, SimTime, f64, f64)> = transfers
+                    .iter()
+                    .map(|&(link, bytes)| (link, start, *dt_secs, bytes))
+                    .collect();
+                prop_assert_eq!(calls.0, expected);
+            }
+            prop_assert_eq!(batched.horizon(), single.horizon());
+            prop_assert_eq!(batched.horizon(), reference.horizon);
+            for l in 0..5 {
+                let bits = |r: &BandwidthRecorder| -> Vec<u64> {
+                    r.series(LinkId(l)).iter().map(|v| v.to_bits()).collect()
+                };
+                prop_assert_eq!(bits(&batched), bits(&single));
+                prop_assert_eq!(bits(&batched), reference.series_bits(l));
+                prop_assert_eq!(
+                    batched.total_bytes(LinkId(l)).to_bits(),
+                    single.total_bytes(LinkId(l)).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

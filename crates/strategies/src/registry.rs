@@ -96,9 +96,9 @@ impl StrategyRegistry {
     }
 
     /// Extends the registry with the three ZeRO++ strategies
-    /// (arXiv 2306.10209): qwZ, hpZ, and qgZ. Kept out of [`paper`]
-    /// so the Fig. 4/5 sweep matrix is unchanged; planlint and ext15
-    /// opt in explicitly.
+    /// (arXiv 2306.10209): qwZ, hpZ, and qgZ. Kept out of
+    /// [`paper`](Self::paper) so the Fig. 4/5 sweep matrix is unchanged;
+    /// planlint and ext15 opt in explicitly.
     #[must_use]
     pub fn with_zeropp(mut self) -> Self {
         use crate::Strategy;

@@ -2,9 +2,9 @@
 //!
 //! A [`Gen`] produces random values from an [`Rng`] and, given a failing
 //! value, proposes *simpler* candidate values ([`Gen::shrink`]). The
-//! property runner ([`crate::prop`]) walks the shrink candidates greedily
-//! until none of them still fail, which converges on a (locally) minimal
-//! counterexample.
+//! property runner ([`crate::prop`](mod@crate::prop)) walks the shrink
+//! candidates greedily until none of them still fail, which converges on a
+//! (locally) minimal counterexample.
 //!
 //! Shrinking contract: every candidate returned by `shrink(v)` must be
 //! strictly simpler than `v` under a well-founded order (smaller
